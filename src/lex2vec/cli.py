@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .embeddings import (
     EmbeddingFormat,
-    NormalizationScope,
     NormalizedEmbeddingTable,
     normalize,
     parse_embeddings,
@@ -27,13 +25,7 @@ from .embeddings import (
 from .errors import Lex2vecError
 from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions, top_k_frequent
 from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
-from .metrics import (
-    SweepReport,
-    SweepRow,
-    avg_labels_per_dimension,
-    sweep,
-    unnamed_ratio,
-)
+from .metrics import SweepReport, _evaluate_cell, sweep
 from .report import (
     dumps_document,
     labeling_to_document,
@@ -50,24 +42,6 @@ _EMBEDDING_FORMATS = {
     "word2vec": EmbeddingFormat.WORD2VEC_TEXT,
     "glove": EmbeddingFormat.GLOVE_TEXT,
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one invocation."""
-
-    embeddings_path: str
-    lexicons: tuple[tuple[str, str], ...]  # (path, format) pairs
-    embedding_format: str = "auto"
-    norm_scope: NormalizationScope = "dimension"
-    theta: float = DEFAULT_THETA
-    theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
-    label_filter: tuple[str, int] | None = None  # ("cap" | "topk", limit)
-    output_path: str | None = None
-    json_output: bool = False
-    keep_contributors: bool = False
-    avg_mode: str = "all"
-    distinct_labels: bool = False
 
 
 def _theta_arg(text: str) -> float:
@@ -142,17 +116,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a JSON document instead of TSV",
     )
 
-    label = subparsers.add_parser(
-        "label", parents=[common],
-        help="name every dimension at a single theta",
-    )
-    label.add_argument(
+    single_theta = argparse.ArgumentParser(add_help=False)
+    single_theta.add_argument(
         "--theta", type=_theta_arg, default=DEFAULT_THETA,
         help=f"band threshold, 0.5 < theta <= 1.0 (default: {DEFAULT_THETA})",
     )
-    label.add_argument(
+    single_theta.add_argument(
         "--filter", type=_filter_arg, default=None, dest="label_filter",
         metavar="SPEC", help="per-dimension label filter: none, cap:LIMIT, or topk:K",
+    )
+
+    averaging = argparse.ArgumentParser(add_help=False)
+    averaging.add_argument(
+        "--avg-mode", choices=("all", "named"), default="all",
+        help="dimensions counted in the TSV average column (default: all)",
+    )
+    averaging.add_argument(
+        "--distinct-labels", action="store_true",
+        help="average distinct labels per dimension instead of label mass",
+    )
+
+    label = subparsers.add_parser(
+        "label", parents=[common, single_theta],
+        help="name every dimension at a single theta",
     )
     label.add_argument(
         "--contributors", action="store_true", dest="keep_contributors",
@@ -160,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_cmd = subparsers.add_parser(
-        "sweep", parents=[common],
+        "sweep", parents=[common, averaging],
         help="evaluate a theta grid for each lexical resource",
     )
     sweep_cmd.add_argument(
@@ -168,185 +154,93 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T1,T2,...",
         help="comma-separated thetas (default: %s)" % ",".join(map(str, DEFAULT_THETA_GRID)),
     )
-    sweep_cmd.add_argument(
-        "--avg-mode", choices=("all", "named"), default="all",
-        help="dimensions counted in the TSV average column (default: all)",
-    )
-    sweep_cmd.add_argument(
-        "--distinct-labels", action="store_true",
-        help="average distinct labels per dimension instead of label mass",
-    )
 
-    metrics_cmd = subparsers.add_parser(
-        "metrics", parents=[common],
+    subparsers.add_parser(
+        "metrics", parents=[common, single_theta, averaging],
         help="coverage metrics for one theta",
-    )
-    metrics_cmd.add_argument(
-        "--theta", type=_theta_arg, default=DEFAULT_THETA,
-        help=f"band threshold, 0.5 < theta <= 1.0 (default: {DEFAULT_THETA})",
-    )
-    metrics_cmd.add_argument(
-        "--filter", type=_filter_arg, default=None, dest="label_filter",
-        metavar="SPEC", help="apply a label filter before measuring",
-    )
-    metrics_cmd.add_argument(
-        "--avg-mode", choices=("all", "named"), default="all",
-        help="dimensions counted in the TSV average column (default: all)",
-    )
-    metrics_cmd.add_argument(
-        "--distinct-labels", action="store_true",
-        help="average distinct labels per dimension instead of label mass",
     )
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        embeddings_path=args.embeddings,
-        lexicons=tuple(args.lexicons),
-        embedding_format=args.embedding_format,
-        norm_scope=args.norm_scope,
-        theta=getattr(args, "theta", DEFAULT_THETA),
-        theta_grid=tuple(getattr(args, "theta_grid", DEFAULT_THETA_GRID)),
-        label_filter=getattr(args, "label_filter", None),
-        output_path=args.output,
-        json_output=args.json_output,
-        keep_contributors=getattr(args, "keep_contributors", False),
-        avg_mode=getattr(args, "avg_mode", "all"),
-        distinct_labels=getattr(args, "distinct_labels", False),
-    )
-
-
-def _fail(stage: str, exc: Exception) -> int:
-    print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
-    return 1
-
-
-def _load_normalized(config: RunConfig) -> NormalizedEmbeddingTable:
-    fmt = _EMBEDDING_FORMATS[config.embedding_format]
-    if config.embeddings_path == "-":
+def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
+    fmt = _EMBEDDING_FORMATS[args.embedding_format]
+    if args.embeddings == "-":
         table = parse_embeddings(sys.stdin, fmt)
     else:
-        table = read_embeddings(config.embeddings_path, fmt)
-    return normalize(table, config.norm_scope)
+        table = read_embeddings(args.embeddings, fmt)
+    return normalize(table, args.norm_scope)
 
 
-def _load_lexicons(config: RunConfig) -> list[Lexicon]:
-    return [load_lexicon(path, fmt) for path, fmt in config.lexicons]
-
-
-def _apply_filter(labeling: DimensionLabeling, config: RunConfig) -> DimensionLabeling:
-    if config.label_filter is None:
+def _apply_filter(
+    labeling: DimensionLabeling, label_filter: tuple[str, int] | None
+) -> DimensionLabeling:
+    if label_filter is None:
         return labeling
-    kind, limit = config.label_filter
+    kind, limit = label_filter
     if kind == "cap":
         return cap_labels(labeling, limit)
     return top_k_frequent(labeling, limit)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def _render_report(args: argparse.Namespace, report: SweepReport) -> str:
+    if args.json_output:
+        return dumps_document(report_to_document(report))
+    return render_sweep_tsv(report, avg_mode=args.avg_mode)
 
 
-def run_label(config: RunConfig) -> int:
-    """Load, normalize, label, filter, and emit the per-dimension names."""
-    try:
-        table = _load_normalized(config)
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("parse", exc)
-    try:
-        lexicon = merge_lexicons(_load_lexicons(config))
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("lexicon", exc)
-    try:
-        labeling = label_dimensions(
-            table, lexicon, config.theta, keep_contributors=config.keep_contributors
-        )
-        labeling = _apply_filter(labeling, config)
-        if config.json_output:
-            text = dumps_document(labeling_to_document(labeling))
-        else:
-            text = render_labeling_tsv(labeling)
-    except (Lex2vecError, ValueError) as exc:
-        return _fail("label", exc)
-    try:
-        _write_output(text, config.output_path)
-    except OSError as exc:
-        return _fail("write", exc)
-    return 0
+def _label(
+    args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
+) -> str:
+    """Name every dimension at a single theta."""
+    labeling = label_dimensions(
+        table, merge_lexicons(lexicons), args.theta, keep_contributors=args.keep_contributors
+    )
+    labeling = _apply_filter(labeling, args.label_filter)
+    if args.json_output:
+        return dumps_document(labeling_to_document(labeling))
+    return render_labeling_tsv(labeling)
 
 
-def run_sweep(config: RunConfig) -> int:
-    """Evaluate the theta grid per resource and emit the report."""
-    try:
-        table = _load_normalized(config)
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("parse", exc)
-    try:
-        lexicons = _load_lexicons(config)
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("lexicon", exc)
-    try:
-        report = sweep(table, lexicons, config.theta_grid, distinct=config.distinct_labels)
-        if config.json_output:
-            text = dumps_document(report_to_document(report))
-        else:
-            text = render_sweep_tsv(report, avg_mode=config.avg_mode)
-    except (Lex2vecError, ValueError) as exc:
-        return _fail("label", exc)
-    try:
-        _write_output(text, config.output_path)
-    except OSError as exc:
-        return _fail("write", exc)
-    return 0
+def _sweep(
+    args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
+) -> str:
+    """Evaluate the theta grid per resource."""
+    report = sweep(table, lexicons, args.theta_grid, distinct=args.distinct_labels)
+    return _render_report(args, report)
 
 
-def run_metrics(config: RunConfig) -> int:
-    """Emit a one-row report for a single (lexicons, theta) configuration."""
-    try:
-        table = _load_normalized(config)
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("parse", exc)
-    try:
-        lexicon = merge_lexicons(_load_lexicons(config))
-    except (Lex2vecError, OSError, ValueError) as exc:
-        return _fail("lexicon", exc)
-    try:
-        labeling = label_dimensions(table, lexicon, config.theta)
-        labeling = _apply_filter(labeling, config)
-        ratio = unnamed_ratio(labeling)
-        avg_all = avg_labels_per_dimension(labeling, "all", config.distinct_labels)
-        avg_named = (
-            None
-            if ratio == 1.0
-            else avg_labels_per_dimension(labeling, "named", config.distinct_labels)
-        )
-        report = SweepReport(
-            (SweepRow(config.theta, lexicon.resource_name, ratio, avg_all, avg_named),)
-        )
-        if config.json_output:
-            text = dumps_document(report_to_document(report))
-        else:
-            text = render_sweep_tsv(report, avg_mode=config.avg_mode)
-    except (Lex2vecError, ValueError) as exc:
-        return _fail("label", exc)
-    try:
-        _write_output(text, config.output_path)
-    except OSError as exc:
-        return _fail("write", exc)
-    return 0
+def _metrics(
+    args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
+) -> str:
+    """One report row for the merged lexicons at a single theta."""
+    lexicon = merge_lexicons(lexicons)
+    labeling = _apply_filter(label_dimensions(table, lexicon, args.theta), args.label_filter)
+    row = _evaluate_cell(labeling, args.theta, lexicon.resource_name, args.distinct_labels)
+    return _render_report(args, SweepReport((row,)))
 
 
-_HANDLERS = {"label": run_label, "sweep": run_sweep, "metrics": run_metrics}
+_COMMANDS = {"label": _label, "sweep": _sweep, "metrics": _metrics}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](_config_from_args(args))
+    """Run one command: parse, lexicon, label and write, naming the stage that fails."""
+    args = build_parser().parse_args(argv)
+    stage = "parse"
+    try:
+        table = _load_normalized(args)
+        stage = "lexicon"
+        lexicons = [load_lexicon(path, fmt) for path, fmt in args.lexicons]
+        stage = "label"
+        text = _COMMANDS[args.command](args, table, lexicons)
+        stage = "write"
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8")
+    except (Lex2vecError, OSError, ValueError) as exc:
+        print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

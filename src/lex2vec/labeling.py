@@ -17,7 +17,6 @@ from typing import Literal, NamedTuple, Union
 import numpy as np
 
 from .embeddings import NormalizedEmbeddingTable
-from .errors import DimensionMismatchError
 from .lexicon import Lexicon
 
 Band = Literal["high", "low"]
@@ -65,7 +64,7 @@ class DimensionLabeling:
     ``per_dimension[j]`` maps each label attached to dimension ``j`` to the
     number of words that contributed it; an empty mapping means the dimension
     is unnamed.  When ``contributors`` is retained it holds, per dimension,
-    the (word, label, band) records behind those counts, ordered by
+    the :class:`Contribution` records behind those counts, ordered by
     vocabulary position then label.
     """
 
@@ -89,10 +88,7 @@ class DimensionLabeling:
 
         contributors = self.contributors
         if contributors is not None:
-            contributors = tuple(
-                tuple(Contribution(*record) for record in dim_records)
-                for dim_records in contributors
-            )
+            contributors = tuple(tuple(dim_records) for dim_records in contributors)
             if len(contributors) != len(per_dim):
                 raise ValueError("contributor records do not cover every dimension")
             for counts, records in zip(per_dim, contributors):
@@ -131,73 +127,60 @@ def label_dimensions(
         keep_contributors: Retain per-dimension (word, label, band) records.
             Costs memory proportional to the selection size; counts and all
             metrics are identical either way.
-
-    Raises:
-        DimensionMismatchError: internal shape inconsistency (defensive;
-            cannot happen for a valid table).
     """
     theta = as_theta(theta)
-    values = table.vectors
-    if values.ndim != 2 or values.shape[0] != len(table.vocabulary):
-        raise DimensionMismatchError(
-            f"table shape {values.shape} does not match vocabulary size {len(table.vocabulary)}"
-        )
-    dim_count = int(values.shape[1])
+    dim_count = table.dim_count
 
-    high = values > theta.value
-    low = values < theta.low_cutoff
-    hit = high | low
-
-    # (row, sorted labels) for the words the lexicon knows; everything else
-    # can never contribute.
-    labeled_words: list[tuple[int, tuple[str, ...]]] = []
+    # Only words the lexicon knows can contribute, so the band test runs on
+    # their rows alone.
+    rows: list[int] = []
+    word_labels: list[list[str]] = []
     for row, word in enumerate(table.vocabulary):
         labels = lexicon.lookup(word)
         if labels:
-            labeled_words.append((row, tuple(sorted(labels))))
+            rows.append(row)
+            word_labels.append(sorted(labels))
+    values = table.vectors[rows]
+    high = values > theta.value
+    hit = high | (values < theta.low_cutoff)
 
+    # counts[label, dim] = incidence[label, word] @ hit[word, dim].  Every
+    # count is far below 2**53, so the float64 product is exact.
+    label_names = sorted({label for labels in word_labels for label in labels})
+    label_index = {label: i for i, label in enumerate(label_names)}
+    incidence = np.zeros((len(label_names), len(rows)))
+    incidence[
+        [label_index[label] for labels in word_labels for label in labels],
+        [pos for pos, labels in enumerate(word_labels) for _ in labels],
+    ] = 1.0
+    counts = (incidence @ hit.astype(np.float64)).T
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]
+    dims, label_ids = np.nonzero(counts)
+    for dim, label_id, count in zip(
+        dims.tolist(), label_ids.tolist(), counts[dims, label_ids].tolist()
+    ):
+        per_dim[dim][label_names[label_id]] = int(count)
 
+    contributors = None
     if keep_contributors:
+        # Each word's records for the low band (False) and the high band
+        # (True); dimensions share these immutable tuples.
+        word_records = [
+            tuple(
+                tuple(Contribution(table.vocabulary[row], label, band) for label in labels)
+                for band in ("low", "high")
+            )
+            for row, labels in zip(rows, word_labels)
+        ]
         records: list[list[Contribution]] = [[] for _ in range(dim_count)]
-        for row, labels in labeled_words:
-            word = table.vocabulary[row]
-            for col in np.nonzero(hit[row])[0]:
-                band: Band = "high" if high[row, col] else "low"
-                counts = per_dim[col]
-                dim_records = records[col]
-                for label in labels:
-                    counts[label] = counts.get(label, 0) + 1
-                    dim_records.append(Contribution(word, label, band))
-        return DimensionLabeling(
-            tuple(per_dim),
-            theta,
-            lexicon.resource_name,
-            tuple(tuple(r) for r in records),
-        )
+        word_pos, cols = np.nonzero(hit)
+        for pos, col, is_high in zip(
+            word_pos.tolist(), cols.tolist(), high[word_pos, cols].tolist()
+        ):
+            records[col].extend(word_records[pos][is_high])
+        contributors = tuple(tuple(dim_records) for dim_records in records)
 
-    # Counts-only fast path: words sharing a label set are counted together,
-    # one vectorized reduction per group.  Integer addition commutes, so the
-    # totals match the sequential definition exactly.
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for row, labels in labeled_words:
-        groups.setdefault(labels, []).append(row)
-
-    label_mass: dict[str, np.ndarray] = {}
-    for labels, rows in groups.items():
-        dim_hits = hit[rows].sum(axis=0, dtype=np.int64)
-        for label in labels:
-            acc = label_mass.get(label)
-            if acc is None:
-                label_mass[label] = dim_hits.copy()
-            else:
-                acc += dim_hits
-    for label in sorted(label_mass):
-        column = label_mass[label]
-        for col in np.nonzero(column)[0]:
-            per_dim[col][label] = int(column[col])
-
-    return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, None)
+    return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)
 
 
 def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:

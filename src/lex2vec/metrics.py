@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .embeddings import NormalizedEmbeddingTable
-from .errors import NoNamedDimensionsError
+from .errors import Lex2vecError, NoNamedDimensionsError
 from .labeling import DimensionLabeling, ThetaLike, as_theta, label_dimensions
 from .lexicon import Lexicon
 
@@ -32,8 +32,6 @@ def avg_labels_per_dimension(
     Raises:
         NoNamedDimensionsError: ``named`` mode on a fully unnamed labeling.
     """
-    if mode == "named_only":
-        mode = "named"
     if mode not in ("all", "named"):
         raise ValueError(f"mode must be 'all' or 'named', got {mode!r}")
 
@@ -97,14 +95,16 @@ def _verify_trend(cells: Sequence[SweepRow]) -> None:
     # lexicon the metrics must move monotonically; a violation is a bug.
     ordered = sorted(cells, key=lambda row: -row.theta)
     for above, below in zip(ordered, ordered[1:]):
-        assert below.unnamed_ratio <= above.unnamed_ratio, (
-            f"unnamed ratio rose from {above.unnamed_ratio} to {below.unnamed_ratio} "
-            f"as theta fell from {above.theta} to {below.theta}"
-        )
-        assert below.avg_labels_all >= above.avg_labels_all, (
-            f"average labels fell from {above.avg_labels_all} to {below.avg_labels_all} "
-            f"as theta fell from {above.theta} to {below.theta}"
-        )
+        if below.unnamed_ratio > above.unnamed_ratio:
+            raise Lex2vecError(
+                f"unnamed ratio rose from {above.unnamed_ratio} to {below.unnamed_ratio} "
+                f"as theta fell from {above.theta} to {below.theta}"
+            )
+        if below.avg_labels_all < above.avg_labels_all:
+            raise Lex2vecError(
+                f"average labels fell from {above.avg_labels_all} to {below.avg_labels_all} "
+                f"as theta fell from {above.theta} to {below.theta}"
+            )
 
 
 def sweep(

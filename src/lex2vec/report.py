@@ -8,6 +8,7 @@ identically.
 
 from __future__ import annotations
 
+import io
 import json
 from typing import Any, Mapping
 
@@ -144,4 +145,10 @@ def report_from_document(document: Mapping[str, Any]) -> SweepReport:
 
 def dumps_document(document: Mapping[str, Any]) -> str:
     """Serialize a document to JSON text (stable layout, trailing newline)."""
-    return json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    # json.dump streams its chunks into one buffer; json.dumps would first
+    # hold them all in a list, millions of small strings for a contributor
+    # document.
+    buffer = io.StringIO()
+    json.dump(document, buffer, indent=2, ensure_ascii=False, allow_nan=False)
+    buffer.write("\n")
+    return buffer.getvalue()

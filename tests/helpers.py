@@ -1,9 +1,10 @@
 """Shared test utilities.
 
-``brute_force_label_counts`` is an independent reference for the labeling
-pipeline: a plain-Python triple loop over words, dimensions, and labels with
-naive linear prefix matching.  It deliberately shares no code with the
-package so the two can check each other.
+``brute_force_labeling`` is an independent reference for the labeling
+pipeline, counts and contributor records alike: a plain-Python triple loop
+over words, dimensions, and labels with naive linear prefix matching.  It
+deliberately shares no code with the package so the two can check each
+other.
 """
 
 from __future__ import annotations
@@ -30,10 +31,15 @@ def naive_lookup(word, exact, prefixes):
     return labels
 
 
-def brute_force_label_counts(vocabulary, matrix, exact, prefixes, theta_value):
-    """Triple-loop reference implementation of dimension labeling."""
+def brute_force_labeling(vocabulary, matrix, exact, prefixes, theta_value):
+    """Triple-loop reference implementation of dimension labeling.
+
+    Returns per-dimension label counts and per-dimension (word, label, band)
+    records, the records ordered by vocabulary position then label.
+    """
     dim_count = len(matrix[0])
     counts = [dict() for _ in range(dim_count)]
+    records = [[] for _ in range(dim_count)]
     low_cutoff = 1.0 - theta_value
     for word, row in zip(vocabulary, matrix):
         labels = naive_lookup(word, exact, prefixes)
@@ -42,9 +48,16 @@ def brute_force_label_counts(vocabulary, matrix, exact, prefixes, theta_value):
         for j in range(dim_count):
             value = float(row[j])
             if value > theta_value or value < low_cutoff:
-                for label in labels:
+                band = "high" if value > theta_value else "low"
+                for label in sorted(labels):
                     counts[j][label] = counts[j].get(label, 0) + 1
-    return counts
+                    records[j].append((word, label, band))
+    return counts, records
+
+
+def brute_force_label_counts(vocabulary, matrix, exact, prefixes, theta_value):
+    """Per-dimension label counts of :func:`brute_force_labeling`."""
+    return brute_force_labeling(vocabulary, matrix, exact, prefixes, theta_value)[0]
 
 
 def random_words(rng, count):

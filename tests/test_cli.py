@@ -183,8 +183,25 @@ class TestMetricsCommand:
         assert code == 0
         assert out == "0\tnegemo+posemo\tnegemo:1,posemo:1\n1\tnegemo+posemo\tnegemo:1,posemo:1\n"
 
+    def test_matches_single_theta_sweep(self, workdir, capsys):
+        common = ["-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'nrc.txt'}:nrc"]
+        for theta in ("0.6", "0.75", "0.9"):
+            _, metrics_out, _ = run(capsys, ["metrics", *common, "--theta", theta])
+            _, sweep_out, _ = run(capsys, ["sweep", *common, "--theta-grid", theta])
+            assert metrics_out == sweep_out
+
 
 class TestFailureModes:
+    @pytest.mark.parametrize("command", ["label", "sweep", "metrics"])
+    def test_output_into_missing_directory_is_write_error(self, workdir, capsys, command):
+        code, out, err = run(capsys, [
+            command, "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain",
+            "-o", str(workdir / "missing" / "out.tsv"),
+        ])
+        assert code == 1
+        assert out == ""
+        assert "write error" in err
+
     def test_missing_embeddings_exits_1_with_stage_and_path(self, workdir, capsys):
         code, _, err = run(capsys, [
             "label", "-e", str(workdir / "nope.txt"), "-l", f"{workdir / 'lex.tsv'}:plain",

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from lex2vec import (
     Contribution,
     DimensionLabeling,
-    DimensionMismatchError,
     Lexicon,
     NormalizedEmbeddingTable,
     Theta,
@@ -21,6 +18,7 @@ from lex2vec import (
 
 from helpers import (
     brute_force_label_counts,
+    brute_force_labeling,
     random_lexicon,
     random_normalized_table,
 )
@@ -110,6 +108,23 @@ class TestLabelDimensions:
             got = label_dimensions(table, lexicon, 0.75)
             assert list(got.per_dimension) == expected
 
+    def test_contributors_match_brute_force(self):
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            table = random_normalized_table(rng)
+            lexicon = random_lexicon(rng, table.vocabulary)
+            for theta in (0.6, 0.75, 0.9):
+                counts, records = brute_force_labeling(
+                    table.vocabulary,
+                    table.vectors.tolist(),
+                    dict(lexicon.exact_entries),
+                    lexicon.prefix_entries,
+                    theta,
+                )
+                got = label_dimensions(table, lexicon, theta, keep_contributors=True)
+                assert list(got.per_dimension) == counts
+                assert [list(dim_records) for dim_records in got.contributors] == records
+
     def test_multi_label_words_count_once_per_label(self):
         table = NormalizedEmbeddingTable(("happy",), [[1.0]])
         # Same label reachable through the exact entry and a prefix: the
@@ -119,13 +134,6 @@ class TestLabelDimensions:
         )
         labeling = label_dimensions(table, lexicon, 0.75)
         assert labeling.per_dimension == ({"joy": 1, "posemo": 1},)
-
-    def test_shape_mismatch_is_defensive_error(self, toy_lexicon):
-        stub = SimpleNamespace(
-            vocabulary=("a", "b"), vectors=np.zeros((3, 2)), dim_count=2
-        )
-        with pytest.raises(DimensionMismatchError):
-            label_dimensions(stub, toy_lexicon, 0.75)
 
 
 class TestLabelingValidation:

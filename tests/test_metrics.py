@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lex2vec
 from lex2vec import (
     DimensionLabeling,
     Lexicon,
@@ -53,10 +60,6 @@ class TestAvgLabels:
         labeling = make_labeling({"a": 3}, {})
         assert avg_labels_per_dimension(labeling, "all") == 1.5
         assert avg_labels_per_dimension(labeling, "named") == 3.0
-
-    def test_named_only_alias(self):
-        labeling = make_labeling({"a": 3}, {})
-        assert avg_labels_per_dimension(labeling, "named_only") == 3.0
 
     def test_named_mode_requires_a_named_dimension(self):
         with pytest.raises(NoNamedDimensionsError):
@@ -118,6 +121,37 @@ class TestSweep:
     def test_empty_thetas_rejected(self, toy_table, toy_lexicon):
         with pytest.raises(ValueError):
             sweep(toy_table, [toy_lexicon], [])
+
+    def test_trend_violation_raises_under_optimize(self):
+        # The trend check must survive ``python -O``, which strips asserts.
+        script = textwrap.dedent(
+            """
+            import sys
+            from lex2vec import DimensionLabeling, Lex2vecError, Lexicon
+            from lex2vec import NormalizedEmbeddingTable, metrics
+
+            def more_labels_at_higher_theta(table, lexicon, theta, keep_contributors=False):
+                counts = {"a": 1} if theta.value > 0.7 else {}
+                return DimensionLabeling((counts,), theta, lexicon.resource_name)
+
+            metrics.label_dimensions = more_labels_at_higher_theta
+            table = NormalizedEmbeddingTable(("w",), [[1.0]])
+            try:
+                metrics.sweep(table, [Lexicon("demo", {"w": {"a"}})], [0.8, 0.6])
+            except Lex2vecError as exc:
+                print(exc)
+                sys.exit(3)
+            """
+        )
+        src = str(Path(lex2vec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 3, result.stderr
+        assert "unnamed ratio rose" in result.stdout
 
     def test_report_rejects_misordered_rows(self):
         rows = (
