@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,13 +42,24 @@ class EmbeddingFormat(Enum):
     AUTO = "auto"
 
 
+class _Vocabulary(tuple):
+    """A vocabulary that already passed :class:`EmbeddingTable`'s checks."""
+
+    __slots__ = ()
+
+
+_WHITESPACE = re.compile(r"\s")  # str patterns: the same characters as str.isspace()
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Ordered vocabulary plus one raw vector per word.
 
     ``vectors`` is an immutable float64 matrix with one row per vocabulary
-    entry.  Words must be unique, non-empty, and free of whitespace (the text
-    formats are whitespace-delimited, so such words could never round-trip).
+    entry.  A read-only float64 array is taken over as is; anything else is
+    copied first.  Words must be unique, non-empty, and free of whitespace
+    (the text formats are whitespace-delimited, so such words could never
+    round-trip).
     """
 
     vocabulary: tuple[str, ...]
@@ -55,15 +67,24 @@ class EmbeddingTable:
     duplicates_skipped: int = 0
 
     def __post_init__(self):
-        vocab = tuple(self.vocabulary)
-        if not vocab:
-            raise ValueError("vocabulary must not be empty")
-        if len(set(vocab)) != len(vocab):
-            raise ValueError("vocabulary contains duplicate words")
-        for word in vocab:
-            if not word or any(ch.isspace() for ch in word):
-                raise ValueError(f"invalid word {word!r}: empty or contains whitespace")
-        vectors = np.array(self.vectors, dtype=np.float64, copy=True)
+        vocab = self.vocabulary
+        if not isinstance(vocab, _Vocabulary):
+            vocab = _Vocabulary(vocab)
+            if not vocab:
+                raise ValueError("vocabulary must not be empty")
+            if len(set(vocab)) != len(vocab):
+                raise ValueError("vocabulary contains duplicate words")
+            if "" in vocab or _WHITESPACE.search("".join(vocab)):
+                bad = next(w for w in vocab if not w or any(ch.isspace() for ch in w))
+                raise ValueError(f"invalid word {bad!r}: empty or contains whitespace")
+        vectors = self.vectors
+        if not (
+            isinstance(vectors, np.ndarray)
+            and vectors.dtype == np.float64
+            and not vectors.flags.writeable
+        ):
+            vectors = np.array(vectors, dtype=np.float64)
+            vectors.setflags(write=False)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-D matrix, got ndim={vectors.ndim}")
         if vectors.shape[0] != len(vocab):
@@ -72,7 +93,6 @@ class EmbeddingTable:
             )
         if vectors.shape[1] < 1:
             raise ValueError("vectors must have at least one dimension")
-        vectors.setflags(write=False)
         object.__setattr__(self, "vocabulary", vocab)
         object.__setattr__(self, "vectors", vectors)
 
@@ -121,13 +141,73 @@ def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, raw
 
 
-def _parse_header(number: int, line: str) -> int:
+def _parse_header(number: int, line: str) -> tuple[int, int]:
     tokens = line.split()
     if len(tokens) != 2 or not all(_is_positive_int(t) for t in tokens):
         raise MalformedLineError(
             "expected Word2Vec header '<vocab_size> <dim_count>'", number
         )
-    return int(tokens[1])
+    return int(tokens[0]), int(tokens[1])
+
+
+# Content lines parsed per np.loadtxt call: large enough that the per-call cost
+# vanishes, small enough that a chunk's line strings stay near 10 MB at 300
+# dimensions, and that re-scanning a failed chunk line by line stays quick.
+_CHUNK_LINES = 4096
+
+
+def _parse_numbers(lines: list[str], ndmin: int) -> np.ndarray:
+    # The one number grammar of the parser (ASCII decimal, no '_' separators).
+    # comments=None: the default '#' would silently cut a line short.
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=ndmin)
+
+
+def _parse_line(number: int, line: str, dim_count: int) -> np.ndarray:
+    """Parse the values of one data line, naming the line in any error."""
+    values = line.split()[1:]
+    if len(values) != dim_count:
+        raise MalformedLineError(f"expected {dim_count} values, found {len(values)}", number)
+    try:
+        # One token per "line", so the grammar is exactly the chunked path's.
+        row = _parse_numbers(values, ndmin=1)
+    except ValueError:
+        for token in values:
+            try:
+                _parse_numbers([token], ndmin=1)
+            except ValueError:
+                raise MalformedLineError(f"unparseable number {token!r}", number) from None
+        raise
+    finite = np.isfinite(row)
+    if not finite.all():
+        bad = values[int(np.argmin(finite))]
+        raise NonFiniteValueError(f"non-finite value {bad!r}", number)
+    return row
+
+
+def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str], np.ndarray]:
+    """Split a chunk of data lines into its words and a float64 value block.
+
+    All lines are parsed by one ``np.loadtxt`` call.  If that fails or yields a
+    wrong shape or a non-finite value, the chunk is parsed again line by line,
+    which raises the first error with its line number.  A lone ``\\r`` inside a
+    line stops ``np.loadtxt`` but not ``str.split``; there the re-scan finds no
+    error and its rows become the block.
+    """
+    words: list[str] = []
+    rests: list[str] = []
+    for _, line in chunk:
+        parts = line.split(None, 1)
+        words.append(parts[0])
+        rests.append(parts[1] if len(parts) == 2 else "")
+    block = None
+    if all(rests):
+        try:
+            block = _parse_numbers(rests, ndmin=2)
+        except ValueError:
+            pass
+    if block is None or block.shape != (len(chunk), dim_count) or not np.isfinite(block).all():
+        block = np.stack([_parse_line(number, line, dim_count) for number, line in chunk])
+    return words, block
 
 
 def parse_embeddings(
@@ -148,6 +228,7 @@ def parse_embeddings(
     Raises:
         EmptyInputError: no data lines were found.
         MalformedLineError: wrong token count or unparseable number.
+        NonFiniteValueError: a value is NaN, infinite, or overflows float64.
         DimensionMismatchError: the header disagrees with the data lines.
     """
     lines = _content_lines(source)
@@ -159,64 +240,67 @@ def parse_embeddings(
     if fmt is EmbeddingFormat.AUTO:
         fmt = detect_format(first_line)
 
-    header_dims: int | None = None
+    header: tuple[int, int] | None = None
+    header_number = first_number
     if fmt is EmbeddingFormat.WORD2VEC_TEXT:
-        header_dims = _parse_header(first_number, first_line)
+        header = _parse_header(first_number, first_line)
         try:
             first_number, first_line = next(lines)
         except StopIteration:
             raise EmptyInputError("header present but no embedding lines follow") from None
 
+    dim_count = len(first_line.split()) - 1
+    if dim_count < 1:
+        raise MalformedLineError("expected a word followed by at least one value", first_number)
+    if header is not None and dim_count != header[1]:
+        raise DimensionMismatchError(
+            f"header declares {header[1]} dimensions but data has {dim_count}", first_number
+        )
+
     words: list[str] = []
-    rows: list[list[float]] = []
     seen: set[str] = set()
-    duplicates = 0
-    dim_count: int | None = None
+    # Rows are copied into one buffer that grows in place (realloc), so each
+    # chunk's block is freed before the next is parsed and the matrix is never
+    # held twice.
+    vectors = np.empty((_CHUNK_LINES, dim_count), dtype=np.float64)
+    data_lines = 0
+    data = itertools.chain([(first_number, first_line)], lines)
+    for chunk in iter(lambda: list(itertools.islice(data, _CHUNK_LINES)), []):
+        data_lines += len(chunk)
+        chunk_words, block = _parse_chunk(chunk, dim_count)
+        keep = []
+        for row, word in enumerate(chunk_words):
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+                keep.append(row)
+        start = len(words) - len(keep)
+        if len(words) > len(vectors):
+            # refcheck=False: the buffer is local and no view of it exists yet.
+            vectors.resize((2 * len(vectors), dim_count), refcheck=False)
+        vectors[start : len(words)] = block if len(keep) == len(chunk) else block[keep]
+        del chunk, chunk_words, block  # free before the next chunk is read
 
-    for number, line in itertools.chain([(first_number, first_line)], lines):
-        tokens = line.split()
-        if dim_count is None:
-            if len(tokens) < 2:
-                raise MalformedLineError(
-                    "expected a word followed by at least one value", number
-                )
-            dim_count = len(tokens) - 1
-            if header_dims is not None and dim_count != header_dims:
-                raise DimensionMismatchError(
-                    f"header declares {header_dims} dimensions but data has {dim_count}",
-                    number,
-                )
-        elif len(tokens) - 1 != dim_count:
-            raise MalformedLineError(
-                f"expected {dim_count} values, found {len(tokens) - 1}", number
-            )
-        word = tokens[0]
-        values = []
-        for token in tokens[1:]:
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise MalformedLineError(f"unparseable number {token!r}", number) from None
-        if word in seen:
-            duplicates += 1
-            continue
-        seen.add(word)
-        words.append(word)
-        rows.append(values)
-
+    if header is not None and data_lines != header[0]:
+        raise DimensionMismatchError(
+            f"header declares {header[0]} words but {data_lines} data lines follow",
+            header_number,
+        )
+    duplicates = data_lines - len(words)
     if duplicates:
         logger.warning("skipped %d duplicate word(s); first occurrence kept", duplicates)
-    return EmbeddingTable(
-        tuple(words), np.asarray(rows, dtype=np.float64), duplicates_skipped=duplicates
-    )
+    vectors.resize((len(words), dim_count), refcheck=False)
+    vectors.setflags(write=False)
+    return EmbeddingTable(tuple(words), vectors, duplicates_skipped=duplicates)
 
 
 def read_embeddings(
     path: str | Path,
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
 ) -> EmbeddingTable:
-    """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`."""
-    with open(path, "r", encoding="utf-8") as stream:
+    """Open ``path`` as UTF-8 text (a leading BOM is dropped) and parse it
+    with :func:`parse_embeddings`."""
+    with open(path, "r", encoding="utf-8-sig") as stream:
         return parse_embeddings(stream, fmt)
 
 
@@ -259,8 +343,10 @@ def normalize(
 
     span = hi - lo
     degenerate = span == 0.0
-    scaled = (values - lo) / np.where(degenerate, 1.0, span)
-    scaled = np.where(np.broadcast_to(degenerate, scaled.shape), 0.5, scaled)
+    scaled = values - lo
+    scaled /= np.where(degenerate, 1.0, span)
+    np.copyto(scaled, 0.5, where=degenerate)
+    scaled.setflags(write=False)
     return NormalizedEmbeddingTable(
         table.vocabulary, scaled, duplicates_skipped=table.duplicates_skipped
     )

@@ -29,8 +29,8 @@ class EmptyInputError(Lex2vecError):
     """The input contains no data lines."""
 
 
-class NonFiniteValueError(Lex2vecError):
-    """An embedding value is NaN or infinite."""
+class NonFiniteValueError(LineError):
+    """An embedding value is NaN or infinite (or overflows to infinity)."""
 
 
 class MalformedLexiconLineError(LineError):

@@ -98,6 +98,25 @@ class TestLabelCommand:
         assert code == 0
         assert out == EXPECTED_LABEL_TSV
 
+    def test_stdin_spanning_parser_chunks(self, workdir, capsys, monkeypatch):
+        # Filler words sit inside the value range and match no lexicon entry.
+        filler = "".join(f"filler{i} 0.5 0.5\n" for i in range(5000))
+        monkeypatch.setattr("sys.stdin", io.StringIO(filler + EMBEDDINGS))
+        code, out, _ = run(capsys, [
+            "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert code == 0
+        assert out == EXPECTED_LABEL_TSV
+
+    def test_bom_before_word2vec_header(self, workdir, capsys):
+        path = workdir / "bom.txt"
+        path.write_text("\ufeff3 2\n" + EMBEDDINGS, encoding="utf-8")
+        code, out, err = run(capsys, [
+            "label", "-e", str(path), "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, err) == (0, "")
+        assert out == EXPECTED_LABEL_TSV
+
     def test_byte_identical_across_runs(self, workdir, capsys):
         argv = [
             "label", "-e", str(workdir / "emb.txt"),
@@ -219,6 +238,25 @@ class TestFailureModes:
         assert code == 1
         assert "parse error" in err
         assert "line 2" in err
+
+    def test_non_finite_embedding_names_line(self, workdir, capsys):
+        bad = workdir / "nan_emb.txt"
+        bad.write_text("good 1.0 0.0\nbad nan 0.5\n", encoding="utf-8")
+        code, _, err = run(capsys, [
+            "label", "-e", str(bad), "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert code == 1
+        assert "parse error: line 2" in err
+
+    def test_stdin_bad_line_after_first_chunk_names_line(self, workdir, capsys, monkeypatch):
+        lines = [f"w{i} 0.5 0.5\n" for i in range(5000)]
+        lines[4096] = "bad 0.5\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        code, out, err = run(capsys, [
+            "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert "parse error: line 4097: expected 2 values, found 1" in err
 
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"

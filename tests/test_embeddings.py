@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lex2vec import (
     parse_embeddings,
     read_embeddings,
 )
+from lex2vec.errors import LineError
 
 GLOVE_TWO_LINES = "good 1.0 0.0\nbad -1.0 0.5\n"
 W2V_TWO_LINES = "2 2\ngood 1.0 0.0\nbad -1.0 0.5\n"
@@ -114,6 +116,119 @@ class TestParse:
         with pytest.raises(MalformedLineError):
             parse_embeddings(io.StringIO("lonely\n"))
 
+    @pytest.mark.parametrize("token", ["1_0", "\uff11", "\u0663", "4.0#5"])
+    def test_number_grammar_is_ascii_decimal(self, token):
+        # float() accepts the first three ('1_0' as 10); '#' must not start a comment.
+        with pytest.raises(MalformedLineError) as excinfo:
+            parse_embeddings(io.StringIO(f"good 1.0 2.0\nbad 3.0 {token}\n"))
+        assert excinfo.value.line_number == 2
+        assert f"unparseable number {token!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_value_names_line(self, token):
+        with pytest.raises(NonFiniteValueError) as excinfo:
+            parse_embeddings(io.StringIO(f"good 1.0 2.0\nbad 3.0 {token}\n"))
+        assert isinstance(excinfo.value, LineError)
+        assert excinfo.value.line_number == 2
+        assert repr(token) in str(excinfo.value)
+
+    def test_header_vocab_size_must_match_data_lines(self):
+        with pytest.raises(DimensionMismatchError) as excinfo:
+            parse_embeddings(io.StringIO("5 2\ngood 1.0 0.0\nbad -1.0 0.5\n"))
+        assert excinfo.value.line_number == 1
+        assert "5 words" in str(excinfo.value)
+
+    def test_header_vocab_size_counts_duplicates(self):
+        table = parse_embeddings(io.StringIO("3 1\na 1.0\nb 2.0\na 3.0\n"))
+        assert table.vocabulary == ("a", "b")
+        assert table.duplicates_skipped == 1
+
+    def test_utf8_bom_before_word2vec_header(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff" + W2V_TWO_LINES, encoding="utf-8")
+        table = read_embeddings(path)
+        assert table.vocabulary == ("good", "bad")
+        np.testing.assert_array_equal(table.vectors, [[1.0, 0.0], [-1.0, 0.5]])
+
+    def test_crlf_tabs_and_leading_whitespace(self):
+        text = "  good\t1.0\t0.0\r\n\tbad  -1.0 0.5 \r\n ugly\xa01.5\u30002.5\r\nodd 3.0\r4.0\n"
+        table = parse_embeddings(io.StringIO(text))
+        assert table.vocabulary == ("good", "bad", "ugly", "odd")
+        np.testing.assert_array_equal(
+            table.vectors, [[1.0, 0.0], [-1.0, 0.5], [1.5, 2.5], [3.0, 4.0]]
+        )
+
+    def test_parsed_vectors_are_read_only(self):
+        table = parse_embeddings(io.StringIO(GLOVE_TWO_LINES))
+        assert not table.vectors.flags.writeable
+
+
+def numbered_lines(count: int) -> list[str]:
+    return [f"w{i} {i}.5 -{i}.25\n" for i in range(count)]
+
+
+class TestChunkedParse:
+    """Inputs that span the parser's 4,096-line chunks."""
+
+    @pytest.mark.parametrize("line_number", [4096, 4097])
+    @pytest.mark.parametrize(
+        "bad_line, error, message",
+        [
+            ("bad 1.0 oops\n", MalformedLineError, "unparseable number 'oops'"),
+            ("bad 1.0\n", MalformedLineError, "expected 2 values, found 1"),
+            ("bad\n", MalformedLineError, "expected 2 values, found 0"),
+            ("bad 1.0 -inf\n", NonFiniteValueError, "non-finite value '-inf'"),
+        ],
+    )
+    def test_bad_line_at_chunk_edge(self, line_number, bad_line, error, message):
+        lines = numbered_lines(5000)
+        lines[line_number - 1] = bad_line
+        with pytest.raises(error) as excinfo:
+            parse_embeddings(io.StringIO("".join(lines)))
+        assert excinfo.value.line_number == line_number
+        assert str(excinfo.value) == f"line {line_number}: {message}"
+
+    def test_first_bad_line_in_chunk_wins(self):
+        lines = numbered_lines(5000)
+        lines[3999] = "late 1.0 oops\n"
+        lines[9] = "early 1.0\n"
+        with pytest.raises(MalformedLineError) as excinfo:
+            parse_embeddings(io.StringIO("".join(lines)))
+        assert excinfo.value.line_number == 10
+
+    def test_duplicate_of_word_from_earlier_chunk(self):
+        lines = numbered_lines(9000)
+        lines[5000] = "w3 99.0 99.0\n"
+        table = parse_embeddings(io.StringIO("".join(lines)))
+        assert table.duplicates_skipped == 1
+        assert table.word_count == 8999
+        assert "w5000" not in table.vocabulary
+        expected = parse_embeddings(io.StringIO("".join(lines[:5000] + lines[5001:])))
+        assert table.vocabulary == expected.vocabulary
+        np.testing.assert_array_equal(table.vectors, expected.vectors)
+        assert table.vectors[3].tolist() == [3.5, -3.25]
+
+    def test_blank_lines_keep_line_numbers(self):
+        lines = numbered_lines(6000)
+        for index in (5500, 4000, 100, 0):
+            lines.insert(index, "\n" if index % 2 else " \t\n")
+        clean = parse_embeddings(io.StringIO("".join(lines)))
+        np.testing.assert_array_equal(clean.vectors, parse_embeddings(numbered_lines(6000)).vectors)
+        lines[5100] = "bad 1.0 oops\n"
+        with pytest.raises(MalformedLineError) as excinfo:
+            parse_embeddings(io.StringIO("".join(lines)))
+        assert excinfo.value.line_number == 5101
+
+    def test_exact_round_trip_across_chunks(self):
+        rng = np.random.default_rng(11)
+        raw = rng.normal(size=(9000, 4)) * 10.0 ** rng.integers(-300, 300, size=(9000, 4))
+        raw[0, :3] = [5e-324, -0.0, 2.2250738585072014e-308]
+        table = EmbeddingTable(tuple(f"w{i}" for i in range(9000)), raw)
+        text = emit_embeddings(table, EmbeddingFormat.WORD2VEC_TEXT)
+        back = parse_embeddings(io.StringIO(text))
+        assert back.vocabulary == table.vocabulary
+        assert back.vectors.view(np.int64).tolist() == table.vectors.view(np.int64).tolist()
+
 
 class TestTableValidation:
     def test_duplicate_vocabulary_rejected(self):
@@ -127,6 +242,26 @@ class TestTableValidation:
     def test_whitespace_word_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(("a b",), [[1.0]])
+
+    @pytest.mark.parametrize("word", ["", "a\x1cb", "a\u3000b", "a\xa0b"])
+    def test_empty_or_unicode_whitespace_word_rejected(self, word):
+        with pytest.raises(ValueError, match=re.escape(repr(word))):
+            EmbeddingTable(("ok", word), [[1.0], [2.0]])
+
+    def test_read_only_float64_vectors_not_copied(self):
+        vectors = np.ones((2, 3))
+        vectors.setflags(write=False)
+        assert EmbeddingTable(("a", "b"), vectors).vectors is vectors
+
+    def test_writeable_or_other_dtype_vectors_copied(self):
+        writeable = np.ones((2, 3))
+        table = EmbeddingTable(("a", "b"), writeable)
+        writeable[0, 0] = 5.0
+        assert table.vectors[0, 0] == 1.0
+        assert not table.vectors.flags.writeable
+        narrow = np.ones((2, 3), dtype=np.float32)
+        narrow.setflags(write=False)
+        assert EmbeddingTable(("a", "b"), narrow).vectors.dtype == np.float64
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +373,18 @@ class TestNormalizeProperties:
             if raw[:, j].min() != raw[:, j].max():
                 assert normed.vectors[:, j].min() == 0.0
                 assert normed.vectors[:, j].max() == 1.0
+
+    @pytest.mark.parametrize("scope, axis", [("dimension", 0), ("word", 1), ("global", None)])
+    @given(table=raw_tables())
+    def test_matches_reference_formula(self, scope, axis, table):
+        """Exactly the values of the plain three-temporary formula."""
+        raw = table.vectors
+        lo = raw.min(axis=axis, keepdims=True)
+        span = raw.max(axis=axis, keepdims=True) - lo
+        expected = np.where(span == 0.0, 0.5, (raw - lo) / np.where(span == 0.0, 1.0, span))
+        normed = normalize(table, scope=scope)
+        assert normed.vectors.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert not normed.vectors.flags.writeable
 
     @given(table=raw_tables())
     def test_idempotence(self, table):
