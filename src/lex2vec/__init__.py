@@ -51,6 +51,7 @@ from .metrics import (
     SweepReport,
     SweepRow,
     avg_labels_per_dimension,
+    coverage,
     sweep,
     unnamed_ratio,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "UnknownCategoryIdError",
     "avg_labels_per_dimension",
     "cap_labels",
+    "coverage",
     "detect_format",
     "emit_embeddings",
     "emit_liwc",

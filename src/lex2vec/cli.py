@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .embeddings import (
     EmbeddingFormat,
@@ -23,9 +22,9 @@ from .embeddings import (
     read_embeddings,
 )
 from .errors import Lex2vecError
-from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions, top_k_frequent
+from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions
 from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
-from .metrics import SweepReport, _evaluate_cell, sweep
+from .metrics import SweepReport, coverage, sweep
 from .report import (
     dumps_document,
     labeling_to_document,
@@ -67,7 +66,8 @@ def _lexicon_arg(text: str) -> tuple[str, str]:
     return path, fmt
 
 
-def _filter_arg(text: str) -> tuple[str, int] | None:
+def _filter_arg(text: str) -> int | None:
+    """The per-dimension label limit; ``cap:N`` and ``topk:N`` are the same filter."""
     if text == "none":
         return None
     kind, sep, raw_limit = text.partition(":")
@@ -79,7 +79,7 @@ def _filter_arg(text: str) -> tuple[str, int] | None:
         raise argparse.ArgumentTypeError(f"limit {raw_limit!r} is not an integer") from None
     if limit < 1:
         raise argparse.ArgumentTypeError("filter limit must be >= 1")
-    return kind, limit
+    return limit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,15 +171,8 @@ def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
     return normalize(table, args.norm_scope)
 
 
-def _apply_filter(
-    labeling: DimensionLabeling, label_filter: tuple[str, int] | None
-) -> DimensionLabeling:
-    if label_filter is None:
-        return labeling
-    kind, limit = label_filter
-    if kind == "cap":
-        return cap_labels(labeling, limit)
-    return top_k_frequent(labeling, limit)
+def _apply_filter(labeling: DimensionLabeling, limit: int | None) -> DimensionLabeling:
+    return labeling if limit is None else cap_labels(labeling, limit)
 
 
 def _render_report(args: argparse.Namespace, report: SweepReport) -> str:
@@ -190,12 +183,17 @@ def _render_report(args: argparse.Namespace, report: SweepReport) -> str:
 
 def _label(
     args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> str:
+) -> DimensionLabeling:
     """Name every dimension at a single theta."""
+    # Only the JSON document carries contributor records.
+    keep_contributors = args.keep_contributors and args.json_output
     labeling = label_dimensions(
-        table, merge_lexicons(lexicons), args.theta, keep_contributors=args.keep_contributors
+        table, merge_lexicons(lexicons), args.theta, keep_contributors=keep_contributors
     )
-    labeling = _apply_filter(labeling, args.label_filter)
+    return _apply_filter(labeling, args.label_filter)
+
+
+def _render_labeling(args: argparse.Namespace, labeling: DimensionLabeling) -> str:
     if args.json_output:
         return dumps_document(labeling_to_document(labeling))
     return render_labeling_tsv(labeling)
@@ -203,23 +201,35 @@ def _label(
 
 def _sweep(
     args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> str:
+) -> SweepReport:
     """Evaluate the theta grid per resource."""
-    report = sweep(table, lexicons, args.theta_grid, distinct=args.distinct_labels)
-    return _render_report(args, report)
+    return sweep(table, lexicons, args.theta_grid, distinct=args.distinct_labels)
 
 
 def _metrics(
     args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> str:
+) -> SweepReport:
     """One report row for the merged lexicons at a single theta."""
-    lexicon = merge_lexicons(lexicons)
-    labeling = _apply_filter(label_dimensions(table, lexicon, args.theta), args.label_filter)
-    row = _evaluate_cell(labeling, args.theta, lexicon.resource_name, args.distinct_labels)
-    return _render_report(args, SweepReport((row,)))
+    labeling = label_dimensions(table, merge_lexicons(lexicons), args.theta)
+    row = coverage(_apply_filter(labeling, args.label_filter), args.distinct_labels)
+    return SweepReport((row,))
 
 
-_COMMANDS = {"label": _label, "sweep": _sweep, "metrics": _metrics}
+# Each command computes its result from the table and lexicons, then renders it.
+_COMMANDS = {
+    "label": (_label, _render_labeling),
+    "sweep": (_sweep, _render_report),
+    "metrics": (_metrics, _render_report),
+}
+
+_WRITE_CHUNK = 1 << 20  # characters
+
+
+def _write(stream: TextIO, text: str) -> None:
+    # Slices keep the encoded copy of the output small; a contributor
+    # document is tens of megabytes and would otherwise be encoded whole.
+    for start in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[start : start + _WRITE_CHUNK])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -231,12 +241,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         stage = "lexicon"
         lexicons = [load_lexicon(path, fmt) for path, fmt in args.lexicons]
         stage = "label"
-        text = _COMMANDS[args.command](args, table, lexicons)
+        compute, render = _COMMANDS[args.command]
+        result = compute(args, table, lexicons)
+        # Rendering needs neither input; freeing them first lowers peak memory.
+        del table, lexicons
+        text = render(args, result)
         stage = "write"
         if args.output is None or args.output == "-":
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
         else:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as stream:
+                _write(stream, text)
     except (Lex2vecError, OSError, ValueError) as exc:
         print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
         return 1

@@ -135,8 +135,11 @@ def _is_positive_int(token: str) -> bool:
 
 
 def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
-    # Line numbers are 1-based over the raw input; blank lines are skipped.
+    # Line numbers are 1-based over the raw input; blank lines are skipped,
+    # and so is a UTF-8 byte-order mark at the start of the input.
     for number, raw in enumerate(source, start=1):
+        if number == 1:
+            raw = raw.removeprefix("\ufeff")
         if raw.strip():
             yield number, raw
 
@@ -217,7 +220,8 @@ def parse_embeddings(
     """Parse a line-oriented embedding source into an :class:`EmbeddingTable`.
 
     Args:
-        source: Lines of text (an open file, ``io.StringIO``, or a list).
+        source: Lines of text (an open file, ``io.StringIO``, or a list).  A
+            UTF-8 byte-order mark at the start is dropped.
         fmt: Input layout; ``AUTO`` decides from the first non-blank line.
 
     Returns:
@@ -298,9 +302,8 @@ def read_embeddings(
     path: str | Path,
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
 ) -> EmbeddingTable:
-    """Open ``path`` as UTF-8 text (a leading BOM is dropped) and parse it
-    with :func:`parse_embeddings`."""
-    with open(path, "r", encoding="utf-8-sig") as stream:
+    """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`."""
+    with open(path, "r", encoding="utf-8") as stream:
         return parse_embeddings(stream, fmt)
 
 

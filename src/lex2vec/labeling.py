@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Union
+from typing import Literal, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -144,22 +144,17 @@ def label_dimensions(
     high = values > theta.value
     hit = high | (values < theta.low_cutoff)
 
-    # counts[label, dim] = incidence[label, word] @ hit[word, dim].  Every
-    # count is far below 2**53, so the float64 product is exact.
-    label_names = sorted({label for labels in word_labels for label in labels})
-    label_index = {label: i for i, label in enumerate(label_names)}
-    incidence = np.zeros((len(label_names), len(rows)))
-    incidence[
-        [label_index[label] for labels in word_labels for label in labels],
-        [pos for pos, labels in enumerate(word_labels) for _ in labels],
-    ] = 1.0
-    counts = (incidence @ hit.astype(np.float64)).T
+    # A label's count on a dimension is the number of its words in a band there.
+    rows_of_label: dict[str, list[int]] = {}
+    for pos, labels in enumerate(word_labels):
+        for label in labels:
+            rows_of_label.setdefault(label, []).append(pos)
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]
-    dims, label_ids = np.nonzero(counts)
-    for dim, label_id, count in zip(
-        dims.tolist(), label_ids.tolist(), counts[dims, label_ids].tolist()
-    ):
-        per_dim[dim][label_names[label_id]] = int(count)
+    for label in sorted(rows_of_label):
+        counts = np.count_nonzero(hit[rows_of_label[label]], axis=0)
+        dims = np.flatnonzero(counts)
+        for dim, count in zip(dims.tolist(), counts[dims].tolist()):
+            per_dim[dim][label] = count
 
     contributors = None
     if keep_contributors:
@@ -183,25 +178,22 @@ def label_dimensions(
     return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)
 
 
+def ordered_labels(counts: Mapping[str, int]) -> list[tuple[str, int]]:
+    """Labels ranked by descending count, ties broken alphabetically."""
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+
 def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:
     """Keep at most ``limit`` distinct labels per dimension.
 
-    Labels are ranked by descending count, ties broken alphabetically;
-    retained counts are unchanged and contributor records of dropped labels
-    are removed.
+    Labels are ranked by :func:`ordered_labels`; retained counts are
+    unchanged and contributor records of dropped labels are removed.
     """
     limit = operator.index(limit)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
 
-    per_dim: list[dict[str, int]] = []
-    for counts in labeling.per_dimension:
-        if len(counts) <= limit:
-            per_dim.append(dict(counts))
-            continue
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        per_dim.append(dict(ranked[:limit]))
-
+    per_dim = [dict(ordered_labels(counts)[:limit]) for counts in labeling.per_dimension]
     contributors = None
     if labeling.contributors is not None:
         contributors = tuple(
@@ -213,10 +205,5 @@ def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:
     )
 
 
-def top_k_frequent(labeling: DimensionLabeling, k: int) -> DimensionLabeling:
-    """Truncate each dimension to its ``k`` most frequent labels.
-
-    Same rank-truncation as :func:`cap_labels`; both names are kept because
-    both phrasings are in common use.
-    """
-    return cap_labels(labeling, k)
+# "Top-k most frequent" is the other common name for the same truncation.
+top_k_frequent = cap_labels

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MalformedLexiconLineError,
@@ -78,13 +78,27 @@ def _check_entry(name: str, labels: frozenset[str], kind: str) -> None:
             raise ValueError(f"label {label!r} contains a tab or newline")
 
 
+def _merged(
+    entries: Iterable[tuple[str, Iterable[str]]], kind: str
+) -> dict[str, frozenset[str]]:
+    """Lowercase names and labels, union the labels of equal names, check each entry."""
+    merged: dict[str, frozenset[str]] = {}
+    for name, labels in entries:
+        key = name.lower()
+        merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
+    for name, labels in merged.items():
+        _check_entry(name, labels, kind)
+    return merged
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Immutable word-pattern to label-set mapping.
 
     ``exact_entries`` maps whole words; ``prefix_entries`` holds (prefix,
     labels) pairs matching any word that starts with the prefix.  Both are
-    lowercased on construction; label sets are never empty.
+    lowercased on construction and entries that become equal are merged;
+    label sets are never empty.
     """
 
     resource_name: str
@@ -93,26 +107,11 @@ class Lexicon:
     _trie: _PrefixTrie = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exact: dict[str, frozenset[str]] = {}
-        for word, labels in dict(self.exact_entries).items():
-            key = word.lower()
-            merged = frozenset(label.lower() for label in labels)
-            exact[key] = exact.get(key, frozenset()) | merged
-        prefixes: dict[str, frozenset[str]] = {}
-        for prefix, labels in self.prefix_entries:
-            key = prefix.lower()
-            merged = frozenset(label.lower() for label in labels)
-            prefixes[key] = prefixes.get(key, frozenset()) | merged
-
-        for word, labels in exact.items():
-            _check_entry(word, labels, "word")
-        for prefix, labels in prefixes.items():
-            _check_entry(prefix, labels, "prefix")
-
-        prefix_tuple = tuple(prefixes.items())
+        exact = _merged(dict(self.exact_entries).items(), "word")
+        prefixes = tuple(_merged(self.prefix_entries, "prefix").items())
         object.__setattr__(self, "exact_entries", exact)
-        object.__setattr__(self, "prefix_entries", prefix_tuple)
-        object.__setattr__(self, "_trie", _PrefixTrie(prefix_tuple))
+        object.__setattr__(self, "prefix_entries", prefixes)
+        object.__setattr__(self, "_trie", _PrefixTrie(prefixes))
 
     def lookup(self, word: str) -> set[str]:
         """All labels matching ``word``: its exact entry plus every stored
@@ -132,8 +131,12 @@ def lookup(lexicon: Lexicon, word: str) -> set[str]:
     return lexicon.lookup(word)
 
 
-def _split_fields(line: str) -> list[str]:
-    return [f.strip() for f in line.split("\t")]
+def _tab_lines(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield the line number and stripped tab-separated fields of every
+    non-blank line; numbers count every line, blank ones included."""
+    for number, raw in enumerate(source, start=1):
+        if raw.strip():
+            yield number, [f.strip() for f in raw.split("\t")]
 
 
 def load_nrc(source: Iterable[str]) -> Lexicon:
@@ -143,11 +146,7 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
     association and are skipped.  Blank lines are ignored.
     """
     entries: dict[str, set[str]] = {}
-    for number, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
+    for number, fields in _tab_lines(source):
         if len(fields) != 3:
             raise MalformedLexiconLineError(
                 f"expected 3 tab-separated fields, found {len(fields)}", number
@@ -160,8 +159,8 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
         if not word or not label:
             raise MalformedLexiconLineError("empty word or label", number)
         if flag == "1":
-            entries.setdefault(word.lower(), set()).add(label.lower())
-    return Lexicon("nrc", {w: frozenset(ls) for w, ls in entries.items()})
+            entries.setdefault(word, set()).add(label)
+    return Lexicon("nrc", entries)
 
 
 def load_liwc(source: Iterable[str]) -> Lexicon:
@@ -171,29 +170,25 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
     ``pattern<TAB>id[<TAB>id...]``.  A single trailing ``*`` marks a prefix
     pattern (the ``*`` is stripped); any other ``*`` is kept literally.
     """
+    lines = list(source)
     categories: dict[str, str] = {}
     exact: dict[str, set[str]] = {}
-    prefixes: dict[str, set[str]] = {}
+    prefixes: list[tuple[str, set[str]]] = []
     section = 0  # 0: before opening %, 1: category block, 2: body
-    last_number = 0
 
-    for number, raw in enumerate(source, start=1):
-        last_number = number
-        line = raw.rstrip("\r\n")
-        stripped = line.strip()
-        if not stripped:
-            continue
+    for number, fields in _tab_lines(lines):
+        # A '%' line may have spaces or tabs around the '%'.
+        is_delimiter = "".join(fields) == "%"
         if section == 0:
-            if stripped != "%":
+            if not is_delimiter:
                 raise MissingDelimiterError(
                     "expected '%' opening the category section", number
                 )
             section = 1
         elif section == 1:
-            if stripped == "%":
+            if is_delimiter:
                 section = 2
                 continue
-            fields = _split_fields(line)
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise MalformedLexiconLineError(
                     "expected 'category_id<TAB>category_name'", number
@@ -203,9 +198,9 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
                 raise MalformedLexiconLineError(
                     f"duplicate category id {cat_id!r}", number
                 )
-            categories[cat_id] = cat_name.lower()
+            categories[cat_id] = cat_name
         else:
-            fields = [f for f in _split_fields(line) if f]
+            fields = [f for f in fields if f]
             if len(fields) < 2:
                 raise MalformedLexiconLineError(
                     "expected a pattern followed by at least one category id", number
@@ -219,37 +214,30 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
                     )
                 labels.add(categories[cat_id])
             if pattern.endswith("*"):
-                prefix = pattern[:-1].lower()
+                prefix = pattern[:-1]
                 if not prefix:
                     raise MalformedLexiconLineError("bare '*' is not a valid pattern", number)
-                prefixes.setdefault(prefix, set()).update(labels)
+                prefixes.append((prefix, labels))
             else:
-                exact.setdefault(pattern.lower(), set()).update(labels)
+                exact.setdefault(pattern, set()).update(labels)
 
     if section < 2:
+        # Names the last line of the file, trailing blank lines included.
         raise MissingDelimiterError(
-            "category section was never closed with '%'", last_number or None
+            "category section was never closed with '%'", len(lines) or None
         )
-    return Lexicon(
-        "liwc",
-        {w: frozenset(ls) for w, ls in exact.items()},
-        tuple((p, frozenset(ls)) for p, ls in prefixes.items()),
-    )
+    return Lexicon("liwc", exact, tuple(prefixes))
 
 
 def load_plain(source: Iterable[str]) -> Lexicon:
     """Load a plain ``word<TAB>label`` lexicon (exact entries only)."""
     entries: dict[str, set[str]] = {}
-    for number, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = _split_fields(line)
+    for number, fields in _tab_lines(source):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise MalformedLexiconLineError("expected 'word<TAB>label'", number)
         word, label = fields
-        entries.setdefault(word.lower(), set()).add(label.lower())
-    return Lexicon("plain", {w: frozenset(ls) for w, ls in entries.items()})
+        entries.setdefault(word, set()).add(label)
+    return Lexicon("plain", entries)
 
 
 _LOADERS = {"nrc": load_nrc, "liwc": load_liwc, "plain": load_plain}
@@ -277,15 +265,14 @@ def merge_lexicons(lexicons: Sequence[Lexicon]) -> Lexicon:
         raise ValueError("at least one lexicon is required")
     if len(lexicons) == 1:
         return lexicons[0]
-    exact: dict[str, frozenset[str]] = {}
-    prefixes: dict[str, frozenset[str]] = {}
+    # Lexicon unions equal prefixes itself; exact words need one key each.
+    exact: dict[str, set[str]] = {}
     for lex in lexicons:
         for word, labels in lex.exact_entries.items():
-            exact[word] = exact.get(word, frozenset()) | labels
-        for prefix, labels in lex.prefix_entries:
-            prefixes[prefix] = prefixes.get(prefix, frozenset()) | labels
+            exact.setdefault(word, set()).update(labels)
+    prefixes = tuple(entry for lex in lexicons for entry in lex.prefix_entries)
     name = "+".join(lex.resource_name for lex in lexicons)
-    return Lexicon(name, exact, tuple(prefixes.items()))
+    return Lexicon(name, exact, prefixes)
 
 
 def emit_liwc(lexicon: Lexicon) -> str:

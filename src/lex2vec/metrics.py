@@ -79,15 +79,19 @@ class SweepReport:
         object.__setattr__(self, "rows", rows)
 
 
-def _evaluate_cell(
-    labeling: DimensionLabeling, theta: float, resource: str, distinct: bool
-) -> SweepRow:
+def coverage(labeling: DimensionLabeling, distinct: bool = False) -> SweepRow:
+    """The report row of one labeling: its theta, resource and coverage metrics.
+
+    ``distinct`` is passed on to :func:`avg_labels_per_dimension`.
+    """
     ratio = unnamed_ratio(labeling)
-    avg_all = avg_labels_per_dimension(labeling, "all", distinct)
-    avg_named = (
-        None if ratio == 1.0 else avg_labels_per_dimension(labeling, "named", distinct)
+    return SweepRow(
+        labeling.theta.value,
+        labeling.resource_name,
+        ratio,
+        avg_labels_per_dimension(labeling, "all", distinct),
+        None if ratio == 1.0 else avg_labels_per_dimension(labeling, "named", distinct),
     )
-    return SweepRow(theta, resource, ratio, avg_all, avg_named)
 
 
 def _verify_trend(cells: Sequence[SweepRow]) -> None:
@@ -127,12 +131,10 @@ def sweep(
 
     rows: list[SweepRow] = []
     for lexicon in lexicons:
-        cells = []
-        for theta in theta_values:
-            labeling = label_dimensions(table, lexicon, theta, keep_contributors=False)
-            cells.append(
-                _evaluate_cell(labeling, theta.value, lexicon.resource_name, distinct)
-            )
+        cells = [
+            coverage(label_dimensions(table, lexicon, theta, keep_contributors=False), distinct)
+            for theta in theta_values
+        ]
         _verify_trend(cells)
         rows.extend(cells)
 

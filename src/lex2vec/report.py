@@ -8,35 +8,34 @@ identically.
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import json
 from typing import Any, Mapping
 
-from .labeling import Contribution, DimensionLabeling
-from .metrics import SweepReport, SweepRow, avg_labels_per_dimension, unnamed_ratio
+from .labeling import Contribution, DimensionLabeling, ordered_labels
+from .metrics import SweepReport, SweepRow, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
+_DUMPS_BATCH = 8192  # encoder chunks per joined piece
 
 
-def ordered_labels(counts: Mapping[str, int]) -> list[tuple[str, int]]:
-    """Labels ranked by descending count, ties broken alphabetically."""
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+def _name(ranked: list[tuple[str, int]]) -> str:
+    return "+".join(label for label, _ in ranked) if ranked else UNNAMED_MARKER
 
 
 def dimension_name(counts: Mapping[str, int]) -> str:
     """Human-readable dimension name: ranked labels joined by '+'."""
-    if not counts:
-        return UNNAMED_MARKER
-    return "+".join(label for label, _ in ordered_labels(counts))
+    return _name(ordered_labels(counts))
 
 
 def render_labeling_tsv(labeling: DimensionLabeling) -> str:
     """One line per dimension: index, rendered name, ``label:count`` pairs."""
     lines = []
     for index, counts in enumerate(labeling.per_dimension):
-        pairs = ",".join(f"{label}:{count}" for label, count in ordered_labels(counts))
-        lines.append(f"{index}\t{dimension_name(counts)}\t{pairs}")
+        ranked = ordered_labels(counts)
+        pairs = ",".join(f"{label}:{count}" for label, count in ranked)
+        lines.append(f"{index}\t{_name(ranked)}\t{pairs}")
     return "\n".join(lines) + "\n"
 
 
@@ -63,26 +62,22 @@ def render_sweep_tsv(report: SweepReport, avg_mode: str = "all") -> str:
 
 def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:
     """Structured form of a labeling, including both average modes."""
-    ratio = unnamed_ratio(labeling)
+    row = coverage(labeling)
     document: dict[str, Any] = {
-        "theta": labeling.theta.value,
-        "resource": labeling.resource_name,
+        "theta": row.theta,
+        "resource": row.resource,
         "dim_count": labeling.dim_count,
-        "unnamed_ratio": ratio,
-        "avg_labels_all": avg_labels_per_dimension(labeling, "all"),
-        "avg_labels_named": (
-            None if ratio == 1.0 else avg_labels_per_dimension(labeling, "named")
-        ),
+        "unnamed_ratio": row.unnamed_ratio,
+        "avg_labels_all": row.avg_labels_all,
+        "avg_labels_named": row.avg_labels_named,
         "dimensions": [],
     }
     for index, counts in enumerate(labeling.per_dimension):
+        ranked = ordered_labels(counts)
         entry: dict[str, Any] = {
             "index": index,
-            "name": dimension_name(counts),
-            "labels": [
-                {"label": label, "count": count}
-                for label, count in ordered_labels(counts)
-            ],
+            "name": _name(ranked),
+            "labels": [{"label": label, "count": count} for label, count in ranked],
         }
         if labeling.contributors is not None:
             entry["contributors"] = [
@@ -114,18 +109,7 @@ def labeling_from_document(document: Mapping[str, Any]) -> DimensionLabeling:
 
 
 def report_to_document(report: SweepReport) -> dict[str, Any]:
-    return {
-        "rows": [
-            {
-                "theta": row.theta,
-                "resource": row.resource,
-                "unnamed_ratio": row.unnamed_ratio,
-                "avg_labels_all": row.avg_labels_all,
-                "avg_labels_named": row.avg_labels_named,
-            }
-            for row in report.rows
-        ]
-    }
+    return {"rows": [dataclasses.asdict(row) for row in report.rows]}
 
 
 def report_from_document(document: Mapping[str, Any]) -> SweepReport:
@@ -145,10 +129,17 @@ def report_from_document(document: Mapping[str, Any]) -> SweepReport:
 
 def dumps_document(document: Mapping[str, Any]) -> str:
     """Serialize a document to JSON text (stable layout, trailing newline)."""
-    # json.dump streams its chunks into one buffer; json.dumps would first
-    # hold them all in a list, millions of small strings for a contributor
-    # document.
-    buffer = io.StringIO()
-    json.dump(document, buffer, indent=2, ensure_ascii=False, allow_nan=False)
-    buffer.write("\n")
-    return buffer.getvalue()
+    # The encoder's chunks are joined in batches: json.dumps would hold
+    # millions of small strings at once for a contributor document, and
+    # StringIO.getvalue would copy the whole text a second time.
+    encoder = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
+    pieces: list[str] = []
+    batch: list[str] = []
+    for chunk in encoder.iterencode(document):
+        batch.append(chunk)
+        if len(batch) == _DUMPS_BATCH:
+            pieces.append("".join(batch))
+            batch.clear()
+    pieces.append("".join(batch))
+    pieces.append("\n")
+    return "".join(pieces)

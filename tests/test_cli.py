@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from lex2vec import cli
 from lex2vec.cli import main
 
 EMBEDDINGS = "good 1.0 0.0\nbad 0.0 0.5\ntable 0.5 1.0\n"
@@ -90,6 +91,16 @@ class TestLabelCommand:
         assert out == ""
         assert out_path.read_text(encoding="utf-8") == EXPECTED_LABEL_TSV
 
+    @pytest.mark.parametrize("target", ["stdout", "file"])
+    def test_output_written_in_slices_is_whole(self, workdir, capsys, monkeypatch, target):
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+        out_path = workdir / "result.tsv"
+        argv = ["label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain"]
+        code, out, _ = run(capsys, argv + (["-o", str(out_path)] if target == "file" else []))
+        assert code == 0
+        written = out_path.read_text(encoding="utf-8") if target == "file" else out
+        assert written == EXPECTED_LABEL_TSV
+
     def test_stdin_embeddings(self, workdir, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(EMBEDDINGS))
         code, out, _ = run(capsys, [
@@ -116,6 +127,43 @@ class TestLabelCommand:
         ])
         assert (code, err) == (0, "")
         assert out == EXPECTED_LABEL_TSV
+
+    def test_stdin_bom_before_word2vec_header(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff3 2\n" + EMBEDDINGS))
+        code, out, err = run(capsys, [
+            "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, err) == (0, "")
+        assert out == EXPECTED_LABEL_TSV
+
+    def test_tsv_does_not_build_contributor_records(self, workdir, capsys, monkeypatch):
+        argv = ["label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain"]
+        calls = []
+        real = cli.label_dimensions
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["keep_contributors"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "label_dimensions", spy)
+        _, with_flag, _ = run(capsys, [*argv, "--contributors"])
+        _, without_flag, _ = run(capsys, argv)
+        _, document, _ = run(capsys, [*argv, "--contributors", "--json"])
+        assert calls == [False, False, True]
+        assert with_flag == without_flag == EXPECTED_LABEL_TSV
+        assert "contributors" in json.loads(document)["dimensions"][0]
+
+    @pytest.mark.parametrize("command", ["label", "metrics"])
+    def test_filter_topk_and_cap_are_the_same_filter(self, workdir, capsys, command):
+        lexicon = workdir / "many.tsv"
+        lexicon.write_text(
+            "good\tposemo\ngood\tjoy\nbad\tnegemo\nbad\tanger\n", encoding="utf-8"
+        )
+        argv = [command, "-e", str(workdir / "emb.txt"), "-l", f"{lexicon}:plain"]
+        _, unfiltered, _ = run(capsys, argv)
+        _, topk, _ = run(capsys, [*argv, "--filter", "topk:2"])
+        _, cap, _ = run(capsys, [*argv, "--filter", "cap:2"])
+        assert topk == cap != unfiltered
 
     def test_byte_identical_across_runs(self, workdir, capsys):
         argv = [
@@ -296,6 +344,24 @@ class TestFailureModes:
                 "-l", f"{workdir / 'lex.tsv'}:plain", "--filter", "best:3",
             ])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("best:3", "expected 'none', 'cap:LIMIT', or 'topk:K'"),
+            ("cap", "expected 'none', 'cap:LIMIT', or 'topk:K'"),
+            ("topk:two", "limit 'two' is not an integer"),
+            ("cap:0", "filter limit must be >= 1"),
+        ],
+    )
+    def test_bad_filter_spec_message(self, workdir, capsys, spec, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "label", "-e", str(workdir / "emb.txt"),
+                "-l", f"{workdir / 'lex.tsv'}:plain", "--filter", spec,
+            ])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -150,6 +150,16 @@ class TestParse:
         assert table.vocabulary == ("good", "bad")
         np.testing.assert_array_equal(table.vectors, [[1.0, 0.0], [-1.0, 0.5]])
 
+    @pytest.mark.parametrize("text", ["\ufeff" + W2V_TWO_LINES, "\ufeff\n" + W2V_TWO_LINES])
+    def test_utf8_bom_at_start_of_text_stream(self, text):
+        table = parse_embeddings(io.StringIO(text))
+        assert table.vocabulary == ("good", "bad")
+        np.testing.assert_array_equal(table.vectors, [[1.0, 0.0], [-1.0, 0.5]])
+
+    def test_bom_after_first_line_is_part_of_the_word(self):
+        table = parse_embeddings(io.StringIO("good 1.0 0.0\n\ufeffbad -1.0 0.5\n"))
+        assert table.vocabulary == ("good", "\ufeffbad")
+
     def test_crlf_tabs_and_leading_whitespace(self):
         text = "  good\t1.0\t0.0\r\n\tbad  -1.0 0.5 \r\n ugly\xa01.5\u30002.5\r\nodd 3.0\r4.0\n"
         table = parse_embeddings(io.StringIO(text))

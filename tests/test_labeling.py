@@ -15,6 +15,7 @@ from lex2vec import (
     label_dimensions,
     top_k_frequent,
 )
+from lex2vec.labeling import ordered_labels
 
 from helpers import (
     brute_force_label_counts,
@@ -156,6 +157,13 @@ class TestLabelingValidation:
 
 
 class TestFilters:
+    def test_ordered_labels_count_then_alphabetical(self):
+        assert ordered_labels({"b": 1, "c": 5, "a": 1}) == [("c", 5), ("a", 1), ("b", 1)]
+        assert ordered_labels({}) == []
+
+    def test_top_k_is_cap(self):
+        assert top_k_frequent is cap_labels
+
     def test_cap_keeps_top_by_count(self):
         labeling = DimensionLabeling(({"a": 5, "b": 3, "c": 1},), Theta(0.75), "demo")
         capped = cap_labels(labeling, 2)

@@ -71,6 +71,10 @@ class TestLoadNrc:
         lex = load_nrc(io.StringIO("Good\tPosEmo\t1\n"))
         assert lex.lookup("GOOD") == {"posemo"}
 
+    def test_mixed_case_duplicates_merge_into_one_entry(self):
+        lex = load_nrc(io.StringIO("Good\tJoy\t1\ngood\tjoy\t1\nGOOD\ttrust\t1\nGooD\tfear\t0\n"))
+        assert lex.exact_entries == {"good": frozenset({"joy", "trust"})}
+
 
 class TestLoadLiwc:
     def test_wildcard_becomes_prefix(self):
@@ -95,6 +99,42 @@ class TestLoadLiwc:
     def test_unclosed_category_section(self):
         with pytest.raises(MissingDelimiterError):
             load_liwc(io.StringIO("%\n1\tposemo\n"))
+
+    @pytest.mark.parametrize(
+        "text, line_number",
+        [("%\n1\tposemo\n", 2), ("%\n1\tposemo\n\n  \n\t\n", 5), ("", None), ("\n\n", 2)],
+    )
+    def test_unclosed_section_names_last_raw_line(self, text, line_number):
+        with pytest.raises(MissingDelimiterError) as excinfo:
+            load_liwc(io.StringIO(text))
+        assert excinfo.value.line_number == line_number
+
+    @pytest.mark.parametrize("delimiter", ["%", " % ", "\t%", "%\t", " \t%\t ", "%\r"])
+    def test_delimiter_may_have_whitespace_around_it(self, delimiter):
+        text = f"{delimiter}\n1\tposemo\n{delimiter}\nhate\t1\n"
+        assert load_liwc(io.StringIO(text)).lookup("hate") == {"posemo"}
+
+    @pytest.mark.parametrize("delimiter", ["%%", "% %", "%\t%", "%x"])
+    def test_delimiter_is_a_lone_percent_sign(self, delimiter):
+        with pytest.raises(MissingDelimiterError) as excinfo:
+            load_liwc(io.StringIO(f"{delimiter}\n1\tposemo\n%\nhate\t1\n"))
+        assert excinfo.value.line_number == 1
+
+    @pytest.mark.parametrize("line", ["1\tjoy\t", "\t1\tjoy", "1\t\tjoy", "1\t ", "1"])
+    def test_category_line_keeps_empty_fields(self, line):
+        with pytest.raises(MalformedLexiconLineError) as excinfo:
+            load_liwc(io.StringIO(f"%\n{line}\n%\nhate\t1\n"))
+        assert excinfo.value.line_number == 2
+
+    def test_body_line_drops_empty_fields(self):
+        lex = load_liwc(io.StringIO("%\n1\tposemo\n%\nhate\t\t1\t\n"))
+        assert lex.lookup("hate") == {"posemo"}
+
+    def test_mixed_case_patterns_and_categories_merge(self):
+        text = "%\n1\tPosEmo\n2\tposemo\n%\nHapp*\t1\nhapp*\t2\nHATE\t1\nhate\t2\n"
+        lex = load_liwc(io.StringIO(text))
+        assert lex.exact_entries == {"hate": frozenset({"posemo"})}
+        assert lex.prefix_entries == (("happ", frozenset({"posemo"})),)
 
     def test_multiple_category_ids_per_line(self):
         text = "%\n1\tposemo\n2\tsocial\n%\nfriend\t1\t2\n"
@@ -127,6 +167,15 @@ class TestLoadPlain:
     def test_wrong_field_count(self):
         with pytest.raises(MalformedLexiconLineError):
             load_plain(io.StringIO("good posemo\n"))
+
+    def test_mixed_case_duplicates_merge_into_one_entry(self):
+        lex = load_plain(io.StringIO("Good\tJoy\ngood\tjoy\nGOOD\tTrust\n"))
+        assert lex.exact_entries == {"good": frozenset({"joy", "trust"})}
+
+    def test_blank_lines_count_toward_line_numbers(self):
+        with pytest.raises(MalformedLexiconLineError) as excinfo:
+            load_plain(io.StringIO("good\tposemo\n\n \t \nbad\n"))
+        assert excinfo.value.line_number == 4
 
     def test_load_lexicon_dispatch(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -202,6 +251,16 @@ class TestMergeAndEmit:
         assert merged.lookup("good") == {"posemo", "trust"}
         assert merged.lookup("bad") == {"negemo"}
         assert merged.lookup("happy") == {"joy"}
+
+    def test_merge_unions_labels_of_a_shared_prefix(self):
+        a = Lexicon("liwc", {}, (("happ", frozenset({"joy"})), ("sad", frozenset({"negemo"}))))
+        b = Lexicon("other", {}, (("HAPP", frozenset({"PosEmo"})),))
+        merged = merge_lexicons([a, b])
+        assert merged.prefix_entries == (
+            ("happ", frozenset({"joy", "posemo"})),
+            ("sad", frozenset({"negemo"})),
+        )
+        assert merged.lookup("happy") == {"joy", "posemo"}
 
     def test_merge_single_is_identity(self):
         a = Lexicon("liwc", {"good": {"posemo"}})

@@ -21,6 +21,7 @@ from lex2vec import (
     Theta,
     avg_labels_per_dimension,
     cap_labels,
+    coverage,
     label_dimensions,
     sweep,
     unnamed_ratio,
@@ -75,6 +76,16 @@ class TestAvgLabels:
             avg_labels_per_dimension(make_labeling({"a": 1}), "median")
 
 
+class TestCoverage:
+    def test_partly_named(self):
+        labeling = make_labeling({"a": 3, "b": 1}, {}, {"a": 2})
+        assert coverage(labeling) == SweepRow(0.75, "demo", 1 / 3, 2.0, 3.0)
+        assert coverage(labeling, distinct=True) == SweepRow(0.75, "demo", 1 / 3, 1.0, 1.5)
+
+    def test_fully_unnamed_has_no_named_average(self):
+        assert coverage(make_labeling({}, {})) == SweepRow(0.75, "demo", 1.0, 0.0, None)
+
+
 class TestSweep:
     def test_grid_times_resources_row_count_and_order(self, toy_table):
         liwc = Lexicon("liwc", {"good": {"posemo"}})
@@ -94,6 +105,20 @@ class TestSweep:
         assert row.unnamed_ratio == unnamed_ratio(labeling)
         assert row.avg_labels_all == avg_labels_per_dimension(labeling, "all")
         assert row.avg_labels_named == avg_labels_per_dimension(labeling, "named")
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_rows_are_coverage_of_each_cell(self, distinct):
+        rng = np.random.default_rng(5)
+        table = random_normalized_table(rng, 40, 6)
+        lexicons = [random_lexicon(rng, table.vocabulary, name) for name in ("a", "b")]
+        thetas = (0.9, 0.7, 0.6)
+        report = sweep(table, lexicons, thetas, distinct=distinct)
+        expected = [
+            coverage(label_dimensions(table, lexicon, theta), distinct)
+            for lexicon in lexicons
+            for theta in thetas
+        ]
+        assert list(report.rows) == expected
 
     def test_two_theta_trend(self, toy_table, toy_lexicon):
         report = sweep(toy_table, [toy_lexicon], [0.9, 0.6])

@@ -9,6 +9,7 @@ from lex2vec import (
     SweepReport,
     SweepRow,
     Theta,
+    coverage,
     label_dimensions,
 )
 from lex2vec.report import (
@@ -91,6 +92,24 @@ class TestLabelingJson:
         assert doc["avg_labels_named"] is None
         assert all(entry["labels"] == [] for entry in doc["dimensions"])
 
+    @pytest.mark.parametrize(
+        "per_dimension",
+        [({}, {}), ({"a": 3, "b": 1}, {}), ({"a": 1}, {"a": 2, "b": 2, "c": 1})],
+    )
+    def test_metric_fields_are_the_coverage_row(self, per_dimension):
+        labeling = DimensionLabeling(per_dimension, Theta(0.8), "demo")
+        doc = labeling_to_document(labeling)
+        row = coverage(labeling)
+        assert doc["theta"] == row.theta
+        assert doc["resource"] == row.resource
+        assert doc["unnamed_ratio"] == row.unnamed_ratio
+        assert doc["avg_labels_all"] == row.avg_labels_all
+        assert doc["avg_labels_named"] == row.avg_labels_named
+        assert list(doc) == [
+            "theta", "resource", "dim_count", "unnamed_ratio",
+            "avg_labels_all", "avg_labels_named", "dimensions",
+        ]
+
     def test_round_trip_without_contributors(self, toy_table, toy_lexicon):
         labeling = label_dimensions(toy_table, toy_lexicon, 0.75)
         doc = json.loads(dumps_document(labeling_to_document(labeling)))
@@ -115,11 +134,28 @@ class TestReportJson:
         doc = json.loads(dumps_document(report_to_document(report)))
         assert report_from_document(doc) == report
 
+    def test_row_field_order(self):
+        report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
+        assert report_to_document(report) == {"rows": [{
+            "theta": 0.75, "resource": "liwc", "unnamed_ratio": 0.178,
+            "avg_labels_all": 106.5, "avg_labels_named": None,
+        }]}
+        assert list(report_to_document(report)["rows"][0]) == [
+            "theta", "resource", "unnamed_ratio", "avg_labels_all", "avg_labels_named",
+        ]
+
     def test_dumps_is_deterministic(self):
         report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, 129.56),))
         assert dumps_document(report_to_document(report)) == dumps_document(
             report_to_document(report)
         )
+
+    def test_dumps_in_batches_equals_json_dumps(self, toy_table, toy_lexicon, monkeypatch):
+        monkeypatch.setattr("lex2vec.report._DUMPS_BATCH", 3)
+        labeling = label_dimensions(toy_table, toy_lexicon, 0.75, keep_contributors=True)
+        document = labeling_to_document(labeling)
+        expected = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        assert dumps_document(document) == expected
 
     def test_dumps_rejects_nan(self):
         report = SweepReport((SweepRow(0.75, "liwc", float("nan"), 1.0, None),))
