@@ -302,8 +302,12 @@ def read_embeddings(
     path: str | Path,
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
 ) -> EmbeddingTable:
-    """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`."""
-    with open(path, "r", encoding="utf-8") as stream:
+    """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`.
+
+    Lines end at ``\n`` only, as on standard input: a lone ``\r`` stays
+    inside its line, and the ``\r`` of a CRLF ending is whitespace.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as stream:
         return parse_embeddings(stream, fmt)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -98,18 +99,22 @@ class Lexicon:
     ``exact_entries`` maps whole words; ``prefix_entries`` holds (prefix,
     labels) pairs matching any word that starts with the prefix.  Both are
     lowercased on construction and entries that become equal are merged;
-    label sets are never empty.
+    label sets are never empty.  ``exact_entries`` is a read-only view, so a
+    lexicon cannot change after construction.
     """
 
     resource_name: str
     exact_entries: Mapping[str, frozenset[str]]
     prefix_entries: tuple[tuple[str, frozenset[str]], ...] = ()
+    # The dict behind the exact_entries view; lookups skip the view's overhead.
+    _exact: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _trie: _PrefixTrie = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact = _merged(dict(self.exact_entries).items(), "word")
         prefixes = tuple(_merged(self.prefix_entries, "prefix").items())
-        object.__setattr__(self, "exact_entries", exact)
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "exact_entries", MappingProxyType(exact))
         object.__setattr__(self, "prefix_entries", prefixes)
         object.__setattr__(self, "_trie", _PrefixTrie(prefixes))
 
@@ -117,7 +122,7 @@ class Lexicon:
         """All labels matching ``word``: its exact entry plus every stored
         prefix of it.  Returns an empty set on a miss."""
         key = word.lower()
-        found = set(self.exact_entries.get(key, ()))
+        found = set(self._exact.get(key, ()))
         found |= self._trie.matches(key)
         return found
 

@@ -9,7 +9,8 @@ identically.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
+from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from .labeling import Contribution, DimensionLabeling, ordered_labels
@@ -17,7 +18,7 @@ from .metrics import SweepReport, SweepRow, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
-_DUMPS_BATCH = 8192  # encoder chunks per joined piece
+_DUMPS_BATCH = 8192  # written parts per joined piece
 
 
 def _name(ranked: list[tuple[str, int]]) -> str:
@@ -127,19 +128,115 @@ def report_from_document(document: Mapping[str, Any]) -> SweepReport:
     )
 
 
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# Exact scalar types and their JSON text; subclasses take the isinstance path.
+_SCALAR_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _subclass_text(value: Any) -> str:
+    """JSON text of a ``str``, ``int`` or ``float`` subclass instance."""
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _SCALAR_TEXT[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _IndentedWriter:
+    """Writes ``json.dumps(..., indent=2, ensure_ascii=False)`` text as parts.
+
+    With ``indent`` set, the stdlib encoder runs in pure Python, passing each
+    value through a chain of nested generators.  Here a scalar costs one
+    dictionary lookup on its exact type and one call to its text function
+    (the stdlib's C escaper for strings), and the parts are joined every
+    ``_DUMPS_BATCH`` so a contributor document never holds millions of small
+    strings at once.  ``pad`` is a newline followed by the indentation of the
+    value being written.
+    """
+
+    def __init__(self, batch_size: int):
+        self.batch_size = batch_size
+        self.pieces: list[str] = []
+        self.batch: list[str] = []
+
+    def flush(self) -> None:
+        self.pieces.append("".join(self.batch))
+        self.batch.clear()
+
+    def value(self, value: Any, pad: str) -> None:
+        text = _SCALAR_TEXT.get(type(value))
+        if text is not None:
+            self.batch.append(text(value))
+        elif isinstance(value, dict):
+            self.mapping(value, pad)
+        elif isinstance(value, (list, tuple)):
+            self.sequence(value, pad)
+        else:
+            self.batch.append(_subclass_text(value))
+
+    def mapping(self, mapping: dict, pad: str) -> None:
+        if not mapping:
+            self.batch.append("{}")
+            return
+        inner = pad + "  "
+        batch, batch_size, scalar_text = self.batch, self.batch_size, _SCALAR_TEXT.get
+        append = batch.append
+        separator = "{" + inner
+        for key, item in mapping.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = scalar_text(type(item))
+            if text is not None:
+                append(separator + encode_basestring(key) + ": " + text(item))
+            else:
+                append(separator + encode_basestring(key) + ": ")
+                self.value(item, inner)
+            separator = "," + inner
+            if len(batch) >= batch_size:
+                self.flush()
+        append(pad + "}")
+
+    def sequence(self, sequence: list | tuple, pad: str) -> None:
+        if not sequence:
+            self.batch.append("[]")
+            return
+        inner = pad + "  "
+        batch, batch_size, scalar_text = self.batch, self.batch_size, _SCALAR_TEXT.get
+        append = batch.append
+        separator = "[" + inner
+        for item in sequence:
+            text = scalar_text(type(item))
+            if text is not None:
+                append(separator + text(item))
+            else:
+                append(separator)
+                self.value(item, inner)
+            separator = "," + inner
+            if len(batch) >= batch_size:
+                self.flush()
+        append(pad + "]")
+
+
 def dumps_document(document: Mapping[str, Any]) -> str:
-    """Serialize a document to JSON text (stable layout, trailing newline)."""
-    # The encoder's chunks are joined in batches: json.dumps would hold
-    # millions of small strings at once for a contributor document, and
-    # StringIO.getvalue would copy the whole text a second time.
-    encoder = json.JSONEncoder(ensure_ascii=False, allow_nan=False, indent=2)
-    pieces: list[str] = []
-    batch: list[str] = []
-    for chunk in encoder.iterencode(document):
-        batch.append(chunk)
-        if len(batch) == _DUMPS_BATCH:
-            pieces.append("".join(batch))
-            batch.clear()
-    pieces.append("".join(batch))
-    pieces.append("\n")
-    return "".join(pieces)
+    """Serialize a document to JSON text (stable layout, trailing newline).
+
+    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
+    allow_nan=False) + "\\n"``.  NaN and infinities raise ``ValueError``; a
+    value of another type, or a key that is not a ``str``, raises
+    ``TypeError``.  Documents are trees, so cycles are not checked.
+    """
+    writer = _IndentedWriter(_DUMPS_BATCH)
+    writer.value(document, "\n")
+    writer.batch.append("\n")
+    writer.flush()
+    return "".join(writer.pieces)

@@ -168,6 +168,16 @@ class TestParse:
             table.vectors, [[1.0, 0.0], [-1.0, 0.5], [1.5, 2.5], [3.0, 4.0]]
         )
 
+    def test_path_splits_lines_like_stdin(self, tmp_path):
+        data = b"a 1.0 2.0\r\nodd 3.0\r4.0\n"
+        path = tmp_path / "cr.txt"
+        path.write_bytes(data)
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+        from_path, from_stdin = read_embeddings(path), parse_embeddings(stdin)
+        assert from_path.vocabulary == from_stdin.vocabulary == ("a", "odd")
+        np.testing.assert_array_equal(from_path.vectors, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(from_path.vectors, from_stdin.vectors)
+
     def test_parsed_vectors_are_read_only(self):
         table = parse_embeddings(io.StringIO(GLOVE_TWO_LINES))
         assert not table.vectors.flags.writeable

@@ -241,6 +241,15 @@ class TestLexiconValidation:
         with pytest.raises(ValueError):
             Lexicon("demo", {}, (("", frozenset({"posemo"})),))
 
+    def test_exact_entries_are_read_only(self):
+        lex = Lexicon("demo", {"good": {"posemo"}})
+        with pytest.raises(TypeError):
+            lex.exact_entries["bad"] = frozenset({"negemo"})
+        assert lex.lookup("bad") == set()
+        assert lex.entry_count == 1
+        assert lex.exact_entries == {"good": frozenset({"posemo"})}
+        assert lex == Lexicon("demo", {"good": {"posemo"}})
+
 
 class TestMergeAndEmit:
     def test_merge_unions_entries(self):
@@ -338,3 +347,55 @@ class TestLookupProperties:
         exact, prefixes = entries
         lex = Lexicon("rand", exact, prefixes)
         assert lex.lookup(word) == lex.lookup(word)
+
+
+# Names that survive a tab-separated line: no tab, newline or carriage return,
+# no whitespace at either end, never ending in the LIWC wildcard.
+entry_names = st.text(
+    st.sampled_from("abAB%*é ß\u00a0\u2028"), min_size=1, max_size=5
+).filter(lambda name: name == name.strip() and not name.endswith("*"))
+label_sets = st.frozensets(entry_names, min_size=1, max_size=3)
+blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\x0c"])
+
+
+@st.composite
+def layout_lines(draw, rows: list[str]) -> str:
+    """Join rows with LF or CRLF, with blank or whitespace-only lines between."""
+    lines = []
+    for row in rows:
+        lines.extend(draw(st.lists(blank_lines, max_size=2)))
+        lines.append(row)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + ending for line in lines)
+
+
+class TestRoundTripProperties:
+    @given(
+        exact=st.dictionaries(entry_names, label_sets, max_size=6),
+        prefixes=st.lists(st.tuples(entry_names, label_sets), max_size=4),
+    )
+    def test_emit_liwc_then_load_keeps_every_lookup(self, exact, prefixes):
+        original = Lexicon("rand", exact, tuple(prefixes))
+        reloaded = load_liwc(io.StringIO(emit_liwc(original)))
+        probes = [*original.exact_entries, *(p for p, _ in original.prefix_entries)]
+        for word in probes + [word + "x" for word in probes] + ["x"]:
+            assert reloaded.lookup(word) == original.lookup(word)
+
+    @given(data=st.data(), entries=st.dictionaries(entry_names, label_sets, max_size=6))
+    def test_nrc_survives_crlf_tabs_and_blank_lines(self, data, entries):
+        rows = [
+            f"{word}\t{label}\t1" for word, labels in entries.items() for label in labels
+        ]
+        rows += [f"{word}\tskipped\t0" for word in entries]
+        text = data.draw(layout_lines(rows))
+        expected = Lexicon("nrc", entries).exact_entries
+        assert load_nrc(io.StringIO(text)).exact_entries == expected
+
+    @given(data=st.data(), entries=st.dictionaries(entry_names, label_sets, max_size=6))
+    def test_plain_survives_crlf_tabs_and_blank_lines(self, data, entries):
+        rows = [
+            f" {word} \t{label}" for word, labels in entries.items() for label in labels
+        ]
+        text = data.draw(layout_lines(rows))
+        expected = Lexicon("plain", entries).exact_entries
+        assert load_plain(io.StringIO(text)).exact_entries == expected

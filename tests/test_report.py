@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import enum
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lex2vec import (
     DimensionLabeling,
@@ -161,3 +165,64 @@ class TestReportJson:
         report = SweepReport((SweepRow(0.75, "liwc", float("nan"), 1.0, None),))
         with pytest.raises(ValueError):
             dumps_document(report_to_document(report))
+
+
+json_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é\U0001F600a') | st.characters()
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**40, -(10**40), -1, 0])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308])
+    | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def stdlib_dumps(document):
+    return json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+class TestDumpsDocument:
+    @given(document=st.dictionaries(json_text, json_values, max_size=5))
+    def test_equals_json_dumps(self, document):
+        assert dumps_document(document) == stdlib_dumps(document)
+
+    @given(document=json_values, batch=st.integers(min_value=1, max_value=4))
+    def test_any_batch_size_equals_json_dumps(self, document, batch):
+        with mock.patch("lex2vec.report._DUMPS_BATCH", batch):
+            assert dumps_document(document) == stdlib_dumps(document)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            dumps_document({"rows": [{"ok": 1.0}, {"bad": [value]}]})
+
+    @pytest.mark.parametrize(
+        "document", [{"x": object()}, {"x": [{1, 2}]}, {"x": {1: "int key"}}]
+    )
+    def test_unsupported_value_or_key_raises_type_error(self, document):
+        with pytest.raises(TypeError):
+            dumps_document(document)
+
+    def test_scalar_subclasses_render_as_their_base_type(self):
+        class Level(enum.IntEnum):
+            HIGH = 1
+
+        class Word(str):
+            pass
+
+        class Ratio(float):
+            pass
+
+        document = {"level": Level.HIGH, "words": [Word('a"b')], "ratio": Ratio(0.5)}
+        assert dumps_document(document) == stdlib_dumps(document)
