@@ -44,7 +44,6 @@ from .lexicon import (
     load_liwc,
     load_nrc,
     load_plain,
-    lookup,
     merge_lexicons,
 )
 from .metrics import (
@@ -88,7 +87,6 @@ __all__ = [
     "load_liwc",
     "load_nrc",
     "load_plain",
-    "lookup",
     "merge_lexicons",
     "normalize",
     "parse_embeddings",

@@ -11,7 +11,10 @@ theta can only shrink the selection.
 from __future__ import annotations
 
 import operator
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -57,21 +60,82 @@ class Contribution(NamedTuple):
     band: Band
 
 
+_BANDS = ("low", "high")
+
+
+class _Contributors(Sequence):
+    """Contributor records per dimension, built from band hits when read.
+
+    ``words[e]`` is a labeled word with its sorted labels, and ``hits[j]`` is
+    a numpy array coding dimension ``j``'s hits as ``2 * e + is_high`` in
+    vocabulary order.  Each hit yields one record for each of its word's
+    labels that ``counts[j]`` holds, so a label whose count is dropped loses
+    its records without any record being built or filtered.
+    """
+
+    def __init__(self, words, hits, counts):
+        self.words, self.hits, self.counts = words, hits, counts
+
+    def __len__(self) -> int:
+        return len(self.hits)
+
+    def __getitem__(self, index: int) -> tuple[Contribution, ...]:
+        index = range(len(self))[index]
+        words, counts = self.words, self.counts[index]
+        records = []
+        for code in self.hits[index].tolist():
+            word, labels = words[code >> 1]
+            band = _BANDS[code & 1]
+            for label in labels:
+                if label in counts:
+                    records.append(Contribution(word, label, band))
+        return tuple(records)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(map(tuple, other))
+
+
+def _given_records(contributors, counts) -> _Contributors:
+    """Hits for records passed in from outside, one single-label hit each.
+
+    Reading the records back rejects a band other than ``high`` or ``low``
+    and a label the dimension does not count; the tally checks the counts.
+    """
+    given = tuple(tuple(records) for records in contributors)
+    if len(given) != len(counts):
+        raise ValueError("contributor records do not cover every dimension")
+    words: list[tuple[str, tuple[str]]] = []
+    hits = []
+    for records in given:
+        start = len(words)
+        words.extend((word, (label,)) for word, label, _ in records)
+        codes = [2 * entry + (band == "high") for entry, (*_, band) in enumerate(records, start)]
+        hits.append(np.array(codes, dtype=np.int64))
+    view = _Contributors(words, hits, counts)
+    if view != given:
+        raise ValueError("contributor records need a counted label and band 'high' or 'low'")
+    for dim_counts, records in zip(counts, given):
+        if Counter(label for _, label, _ in records) != Counter(dim_counts):
+            raise ValueError("contributor records disagree with label counts")
+    return view
+
+
 @dataclass(frozen=True)
 class DimensionLabeling:
     """Per-dimension label counts produced by :func:`label_dimensions`.
 
-    ``per_dimension[j]`` maps each label attached to dimension ``j`` to the
-    number of words that contributed it; an empty mapping means the dimension
-    is unnamed.  When ``contributors`` is retained it holds, per dimension,
-    the :class:`Contribution` records behind those counts, ordered by
-    vocabulary position then label.
+    ``per_dimension[j]`` is a read-only mapping from each label attached to
+    dimension ``j`` to the number of words that contributed it; an empty
+    mapping means the dimension is unnamed.  When ``contributors`` is
+    retained it is a read-only sequence that holds, per dimension, the
+    :class:`Contribution` records behind those counts, ordered by vocabulary
+    position then label, and built each time a dimension is read.
     """
 
-    per_dimension: tuple[dict[str, int], ...]
+    per_dimension: tuple[Mapping[str, int], ...]
     theta: Theta
     resource_name: str
-    contributors: tuple[tuple[Contribution, ...], ...] | None = None
+    contributors: Sequence[Sequence[Contribution]] | None = None
 
     def __post_init__(self):
         per_dim = []
@@ -82,21 +146,19 @@ class DimensionLabeling:
                 if count < 1:
                     raise ValueError(f"label {label!r} has non-positive count {count}")
                 clean[label] = count
-            per_dim.append(clean)
+            per_dim.append(MappingProxyType(clean))
         if not per_dim:
             raise ValueError("a labeling needs at least one dimension")
 
         contributors = self.contributors
-        if contributors is not None:
-            contributors = tuple(tuple(dim_records) for dim_records in contributors)
-            if len(contributors) != len(per_dim):
-                raise ValueError("contributor records do not cover every dimension")
-            for counts, records in zip(per_dim, contributors):
-                tally: dict[str, int] = {}
-                for record in records:
-                    tally[record.label] = tally.get(record.label, 0) + 1
-                if tally != counts:
-                    raise ValueError("contributor records disagree with label counts")
+        if isinstance(contributors, _Contributors) and len(contributors) == len(per_dim) and all(
+            counts.items() <= held.items() for counts, held in zip(per_dim, contributors.counts)
+        ):
+            # Hits hold every record of the counts they were computed with,
+            # so a kept count keeps its records and needs no tally.
+            contributors = _Contributors(contributors.words, contributors.hits, per_dim)
+        elif contributors is not None:
+            contributors = _given_records(contributors, per_dim)
 
         object.__setattr__(self, "per_dimension", tuple(per_dim))
         object.__setattr__(self, "theta", as_theta(self.theta))
@@ -124,9 +186,10 @@ def label_dimensions(
         table: Normalized embeddings; all values in [0, 1].
         lexicon: Source of word labels.
         theta: Band threshold, 0.5 < theta <= 1.0.
-        keep_contributors: Retain per-dimension (word, label, band) records.
-            Costs memory proportional to the selection size; counts and all
-            metrics are identical either way.
+        keep_contributors: Retain the band hits that per-dimension (word,
+            label, band) records are read from.  Costs memory proportional
+            to the number of hits; counts and all metrics are identical
+            either way.
     """
     theta = as_theta(theta)
     dim_count = table.dim_count
@@ -158,22 +221,14 @@ def label_dimensions(
 
     contributors = None
     if keep_contributors:
-        # Each word's records for the low band (False) and the high band
-        # (True); dimensions share these immutable tuples.
-        word_records = [
-            tuple(
-                tuple(Contribution(table.vocabulary[row], label, band) for label in labels)
-                for band in ("low", "high")
-            )
-            for row, labels in zip(rows, word_labels)
+        # Records are read from the hits on demand, one dimension at a time.
+        cols, entries = np.nonzero(hit.T)
+        codes = 2 * entries + high[entries, cols]
+        bounds = np.cumsum(np.count_nonzero(hit, axis=0))[:-1]
+        words = [
+            (table.vocabulary[row], tuple(labels)) for row, labels in zip(rows, word_labels)
         ]
-        records: list[list[Contribution]] = [[] for _ in range(dim_count)]
-        word_pos, cols = np.nonzero(hit)
-        for pos, col, is_high in zip(
-            word_pos.tolist(), cols.tolist(), high[word_pos, cols].tolist()
-        ):
-            records[col].extend(word_records[pos][is_high])
-        contributors = tuple(tuple(dim_records) for dim_records in records)
+        contributors = _Contributors(words, np.split(codes, bounds), per_dim)
 
     return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)
 
@@ -187,21 +242,16 @@ def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:
     """Keep at most ``limit`` distinct labels per dimension.
 
     Labels are ranked by :func:`ordered_labels`; retained counts are
-    unchanged and contributor records of dropped labels are removed.
+    unchanged, and contributor records are read from the same hits, so the
+    records of dropped labels are never built.
     """
     limit = operator.index(limit)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
 
     per_dim = [dict(ordered_labels(counts)[:limit]) for counts in labeling.per_dimension]
-    contributors = None
-    if labeling.contributors is not None:
-        contributors = tuple(
-            tuple(rec for rec in dim_records if rec.label in per_dim[col])
-            for col, dim_records in enumerate(labeling.contributors)
-        )
     return DimensionLabeling(
-        tuple(per_dim), labeling.theta, labeling.resource_name, contributors
+        tuple(per_dim), labeling.theta, labeling.resource_name, labeling.contributors
     )
 
 

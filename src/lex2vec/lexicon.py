@@ -131,11 +131,6 @@ class Lexicon:
         return len(self.exact_entries) + len(self.prefix_entries)
 
 
-def lookup(lexicon: Lexicon, word: str) -> set[str]:
-    """Function form of :meth:`Lexicon.lookup`."""
-    return lexicon.lookup(word)
-
-
 def _tab_lines(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield the line number and stripped tab-separated fields of every
     non-blank line; numbers count every line, blank ones included."""
@@ -286,9 +281,18 @@ def emit_liwc(lexicon: Lexicon) -> str:
     Category ids are assigned in sorted label order and entries are emitted
     sorted, so equal lexicons serialize identically.  Reloading the output
     with :func:`load_liwc` yields the same lookup results for every word.
+    A lexicon the layout cannot represent raises ``ValueError``: an exact
+    word ending in ``*`` would reload as a prefix, and a word, prefix or
+    label with whitespace at either end would reload stripped.
     """
     labels = sorted({label for _, ls in lexicon.exact_entries.items() for label in ls}
                     | {label for _, ls in lexicon.prefix_entries for label in ls})
+    for word in lexicon.exact_entries:
+        if word.endswith("*"):
+            raise ValueError(f"word {word!r} ends in '*', which LIWC reads as a prefix")
+    for name in [*lexicon.exact_entries, *(p for p, _ in lexicon.prefix_entries), *labels]:
+        if name != name.strip():
+            raise ValueError(f"entry {name!r} has whitespace at an end, which LIWC strips")
     ids = {label: str(i) for i, label in enumerate(labels, start=1)}
 
     lines = ["%"]

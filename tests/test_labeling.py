@@ -16,6 +16,7 @@ from lex2vec import (
     top_k_frequent,
 )
 from lex2vec.labeling import ordered_labels
+from lex2vec.report import labeling_from_document, labeling_to_document
 
 from helpers import (
     brute_force_label_counts,
@@ -155,6 +156,18 @@ class TestLabelingValidation:
         with pytest.raises(ValueError):
             DimensionLabeling(({"a": 1}, {}), Theta(0.75), "demo", ((),))
 
+    def test_counts_are_read_only(self, toy_table, toy_lexicon):
+        labeling = label_dimensions(toy_table, toy_lexicon, 0.75)
+        with pytest.raises(TypeError):
+            labeling.per_dimension[0]["posemo"] = 5
+
+    def test_computed_contributors_must_match_counts(self, toy_table, toy_lexicon):
+        labeling = label_dimensions(toy_table, toy_lexicon, 0.75, keep_contributors=True)
+        with pytest.raises(ValueError):
+            DimensionLabeling(
+                ({"posemo": 2}, {"posemo": 1}), Theta(0.75), "demo", labeling.contributors
+            )
+
 
 class TestFilters:
     def test_ordered_labels_count_then_alphabetical(self):
@@ -199,6 +212,28 @@ class TestFilters:
         capped = cap_labels(labeling, 1)
         assert capped.per_dimension[0] == {"negemo": 1}
         assert capped.contributors[0] == (Contribution("bad", "negemo", "low"),)
+
+    def test_cap_builds_only_the_records_it_keeps(self, monkeypatch):
+        built = []
+
+        class CountedContribution(Contribution):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr("lex2vec.labeling.Contribution", CountedContribution)
+        table = NormalizedEmbeddingTable(
+            ("good", "bad", "table"), [[1.0, 0.0], [0.0, 1.0], [0.5, 0.9]]
+        )
+        lexicon = Lexicon(
+            "demo", {"good": {"joy", "posemo"}, "bad": {"negemo"}, "table": {"thing"}}
+        )
+        labeling = label_dimensions(table, lexicon, 0.75, keep_contributors=True)
+        records = [record for dim in cap_labels(labeling, 1).contributors for record in dim]
+        assert records == [("good", "joy", "high"), ("good", "joy", "low")]
+        assert len(built) == len(records)
 
 
 def _contribution_triples(labeling):
@@ -305,3 +340,31 @@ class TestLabelingProperties:
             assert len(kept) <= limit
             for label, count in kept.items():
                 assert original[label] == count
+
+    @settings(max_examples=40)
+    @given(
+        instance=labeling_instances(),
+        theta=st.sampled_from([0.6, 0.75, 0.9]),
+        limit=st.integers(min_value=1, max_value=3),
+    )
+    def test_capped_contributors_match_brute_force(self, instance, theta, limit):
+        """The cap keeps the oracle's records of the kept labels, and the
+        capped labeling survives its JSON document."""
+        table, lexicon = instance
+        counts, records = brute_force_labeling(
+            table.vocabulary,
+            table.vectors.tolist(),
+            dict(lexicon.exact_entries),
+            lexicon.prefix_entries,
+            theta,
+        )
+        labeling = label_dimensions(table, lexicon, theta, keep_contributors=True)
+        capped = cap_labels(labeling, limit)
+        for dim, dim_counts in enumerate(counts):
+            ranked = sorted(dim_counts.items(), key=lambda item: (-item[1], item[0]))
+            kept = dict(ranked[:limit])
+            assert capped.per_dimension[dim] == kept
+            assert list(capped.contributors[dim]) == [
+                record for record in records[dim] if record[1] in kept
+            ]
+        assert labeling_from_document(labeling_to_document(capped)) == capped

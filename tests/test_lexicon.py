@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lex2vec import (
@@ -17,7 +17,6 @@ from lex2vec import (
     load_liwc,
     load_nrc,
     load_plain,
-    lookup,
     merge_lexicons,
 )
 
@@ -219,9 +218,9 @@ class TestLookup:
         assert lex.lookup("GOOD") == {"posemo"}
         assert lex.lookup("HAPPY") == {"joy"}
 
-    def test_function_form(self):
+    def test_method_form(self):
         lex = Lexicon("demo", {"good": {"posemo"}})
-        assert lookup(lex, "good") == {"posemo"}
+        assert lex.lookup("good") == {"posemo"}
 
 
 class TestLexiconValidation:
@@ -349,11 +348,10 @@ class TestLookupProperties:
         assert lex.lookup(word) == lex.lookup(word)
 
 
-# Names that survive a tab-separated line: no tab, newline or carriage return,
-# no whitespace at either end, never ending in the LIWC wildcard.
-entry_names = st.text(
-    st.sampled_from("abAB%*é ß\u00a0\u2028"), min_size=1, max_size=5
-).filter(lambda name: name == name.strip() and not name.endswith("*"))
+# Names without tab, newline or carriage return.  Those with whitespace at
+# either end, or ending in the LIWC wildcard, do not survive every layout.
+any_names = st.text(st.sampled_from("abAB%*é ß\u00a0\u2028"), min_size=1, max_size=5)
+entry_names = any_names.filter(lambda name: name == name.strip() and not name.endswith("*"))
 label_sets = st.frozensets(entry_names, min_size=1, max_size=3)
 blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\x0c"])
 
@@ -370,12 +368,31 @@ def layout_lines(draw, rows: list[str]) -> str:
 
 
 class TestRoundTripProperties:
+    @example(data=None, exact={"go*": {"a"}}, prefixes=[])
+    @example(data=None, exact={" sp": {"b"}}, prefixes=[("sp", {" joy"})])
     @given(
+        data=st.data(),
         exact=st.dictionaries(entry_names, label_sets, max_size=6),
         prefixes=st.lists(st.tuples(entry_names, label_sets), max_size=4),
     )
-    def test_emit_liwc_then_load_keeps_every_lookup(self, exact, prefixes):
+    def test_emit_liwc_then_load_keeps_every_lookup(self, data, exact, prefixes):
+        """A lexicon the LIWC layout can hold reloads with the same lookups;
+        any other raises ValueError naming an entry it cannot hold."""
+        if data is not None and data.draw(st.booleans()):
+            any_labels = st.frozensets(any_names, min_size=1, max_size=3)
+            exact = {**exact, **data.draw(st.dictionaries(any_names, any_labels, max_size=2))}
+            prefixes = prefixes + data.draw(st.lists(st.tuples(any_names, any_labels), max_size=2))
         original = Lexicon("rand", exact, tuple(prefixes))
+        names = [*original.exact_entries, *(p for p, _ in original.prefix_entries)]
+        names += [label for _, labels in original.prefix_entries for label in labels]
+        names += [label for labels in original.exact_entries.values() for label in labels]
+        unrepresentable = [name for name in names if name != name.strip()]
+        unrepresentable += [word for word in original.exact_entries if word.endswith("*")]
+        if unrepresentable:
+            with pytest.raises(ValueError) as error:
+                emit_liwc(original)
+            assert any(repr(name) in str(error.value) for name in unrepresentable)
+            return
         reloaded = load_liwc(io.StringIO(emit_liwc(original)))
         probes = [*original.exact_entries, *(p for p, _ in original.prefix_entries)]
         for word in probes + [word + "x" for word in probes] + ["x"]:

@@ -126,6 +126,13 @@ class TestLabelingJson:
         assert restored == labeling
         assert restored.contributors == labeling.contributors
 
+    def test_from_document_rejects_an_unknown_band(self, toy_table, toy_lexicon):
+        labeling = label_dimensions(toy_table, toy_lexicon, 0.75, keep_contributors=True)
+        doc = json.loads(dumps_document(labeling_to_document(labeling)))
+        doc["dimensions"][0]["contributors"][0]["band"] = "sideways"
+        with pytest.raises(ValueError):
+            labeling_from_document(doc)
+
 
 class TestReportJson:
     def test_round_trip(self):
