@@ -17,7 +17,7 @@ from typing import Sequence, TextIO
 from .embeddings import (
     EmbeddingFormat,
     NormalizedEmbeddingTable,
-    normalize,
+    _normalize_parsed,
     parse_embeddings,
     read_embeddings,
 )
@@ -168,7 +168,8 @@ def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
         table = parse_embeddings(sys.stdin, fmt)
     else:
         table = read_embeddings(args.embeddings, fmt)
-    return normalize(table, args.norm_scope)
+    # The parsed buffer has no other owner, so it is rescaled rather than copied.
+    return _normalize_parsed(table, args.norm_scope)
 
 
 def _apply_filter(labeling: DimensionLabeling, limit: int | None) -> DimensionLabeling:

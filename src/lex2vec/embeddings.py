@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -111,10 +113,11 @@ class NormalizedEmbeddingTable(EmbeddingTable):
 
     def __post_init__(self):
         super().__post_init__()
-        values = self.vectors
-        if not np.isfinite(values).all():
+        # min() and max() propagate NaN, so two scalars check the whole matrix.
+        lo, hi = self.vectors.min(), self.vectors.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteValueError("normalized tables must not contain NaN or infinity")
-        if (values < 0.0).any() or (values > 1.0).any():
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("normalized values must lie in [0, 1]")
 
 
@@ -154,9 +157,17 @@ def _parse_header(number: int, line: str) -> tuple[int, int]:
 
 
 # Content lines parsed per np.loadtxt call: large enough that the per-call cost
-# vanishes, small enough that a chunk's line strings stay near 10 MB at 300
-# dimensions, and that re-scanning a failed chunk line by line stays quick.
-_CHUNK_LINES = 4096
+# vanishes, small enough that a chunk's line strings stay near 3 MB at 300
+# dimensions (the freed strings stay in the heap), and that re-scanning a
+# failed chunk line by line stays quick.
+_CHUNK_LINES = 1024
+
+# Rows allocated beyond the size estimate, as a fraction of it.  Rows that are
+# never written cost address space only, while running short doubles the buffer.
+_ESTIMATE_MARGIN = 1 / 16
+
+# The buffers the parser has returned and nothing has taken over yet, by id.
+_PARSED_BUFFERS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def _parse_numbers(lines: list[str], ndmin: int) -> np.ndarray:
@@ -213,6 +224,25 @@ def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str
     return words, block
 
 
+def _buffer_rows(
+    chunk: list[tuple[int, str]], input_bytes: int, header: tuple[int, int] | None
+) -> int:
+    """The rows to allocate once the first chunk is parsed.
+
+    With the input's size known, that is the size over the chunk's mean bytes
+    per line, plus a margin.  A Word2Vec header can only lower that estimate,
+    never raise it: it is untrusted.  Without a size (standard input, a pipe)
+    the buffer starts at one chunk and grows by doubling.
+    """
+    if input_bytes <= 0:
+        return len(chunk)
+    line_bytes = sum(len(line.encode("utf-8")) for _, line in chunk) / len(chunk)
+    estimate = int(input_bytes / line_bytes * (1 + _ESTIMATE_MARGIN))
+    if header is not None:
+        estimate = min(estimate, header[0])
+    return max(estimate, len(chunk))
+
+
 def parse_embeddings(
     source: Iterable[str],
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
@@ -235,6 +265,11 @@ def parse_embeddings(
         NonFiniteValueError: a value is NaN, infinite, or overflows float64.
         DimensionMismatchError: the header disagrees with the data lines.
     """
+    return _parse(source, fmt, input_bytes=0)
+
+
+def _parse(source: Iterable[str], fmt: EmbeddingFormat, input_bytes: int) -> EmbeddingTable:
+    # input_bytes sizes the row buffer; 0 when the size is unknown.
     lines = _content_lines(source)
     try:
         first_number, first_line = next(lines)
@@ -263,10 +298,10 @@ def parse_embeddings(
 
     words: list[str] = []
     seen: set[str] = set()
-    # Rows are copied into one buffer that grows in place (realloc), so each
-    # chunk's block is freed before the next is parsed and the matrix is never
-    # held twice.
-    vectors = np.empty((_CHUNK_LINES, dim_count), dtype=np.float64)
+    # Rows are copied into one buffer, allocated after the first chunk and
+    # grown in place (realloc) if it runs short, so each chunk's block is freed
+    # before the next is parsed and the matrix is never held twice.
+    vectors = None
     data_lines = 0
     data = itertools.chain([(first_number, first_line)], lines)
     for chunk in iter(lambda: list(itertools.islice(data, _CHUNK_LINES)), []):
@@ -279,7 +314,10 @@ def parse_embeddings(
                 words.append(word)
                 keep.append(row)
         start = len(words) - len(keep)
-        if len(words) > len(vectors):
+        if vectors is None:
+            rows = _buffer_rows(chunk, input_bytes, header)
+            vectors = np.empty((rows, dim_count), dtype=np.float64)
+        elif len(words) > len(vectors):
             # refcheck=False: the buffer is local and no view of it exists yet.
             vectors.resize((2 * len(vectors), dim_count), refcheck=False)
         vectors[start : len(words)] = block if len(keep) == len(chunk) else block[keep]
@@ -295,6 +333,7 @@ def parse_embeddings(
         logger.warning("skipped %d duplicate word(s); first occurrence kept", duplicates)
     vectors.resize((len(words), dim_count), refcheck=False)
     vectors.setflags(write=False)
+    _PARSED_BUFFERS[id(vectors)] = vectors
     return EmbeddingTable(tuple(words), vectors, duplicates_skipped=duplicates)
 
 
@@ -308,7 +347,8 @@ def read_embeddings(
     inside its line, and the ``\r`` of a CRLF ending is whitespace.
     """
     with open(path, "r", encoding="utf-8", newline="\n") as stream:
-        return parse_embeddings(stream, fmt)
+        # A pipe reports size 0, which leaves the buffer to grow by doubling.
+        return _parse(stream, fmt, os.fstat(stream.fileno()).st_size)
 
 
 def normalize(
@@ -332,10 +372,39 @@ def normalize(
     Raises:
         NonFiniteValueError: the input contains NaN or infinity.
     """
-    values = table.vectors
-    if not np.isfinite(values).all():
-        raise NonFiniteValueError("cannot normalize a table with NaN or infinite values")
+    scaled = np.empty_like(table.vectors)
+    _min_max_scale(table.vectors, scaled, scope)
+    scaled.setflags(write=False)
+    return NormalizedEmbeddingTable(
+        table.vocabulary, scaled, duplicates_skipped=table.duplicates_skipped
+    )
 
+
+def _normalize_parsed(
+    table: EmbeddingTable, scope: NormalizationScope = "dimension"
+) -> NormalizedEmbeddingTable:
+    """:func:`normalize` without the copy, for a table the parser just returned.
+
+    The parser's buffer is rescaled in place and frozen again, so ``table``
+    then holds the normalized values too: the caller must drop it.  Vectors
+    that do not own their data, or that the parser did not return (or that were
+    taken over before), are normalized into a copy instead.
+    """
+    values = table.vectors
+    if _PARSED_BUFFERS.pop(id(values), None) is not values or not values.flags.owndata:
+        return normalize(table, scope)
+    values.setflags(write=True)
+    try:
+        _min_max_scale(values, values, scope)
+    finally:
+        values.setflags(write=False)
+    return NormalizedEmbeddingTable(
+        table.vocabulary, values, duplicates_skipped=table.duplicates_skipped
+    )
+
+
+def _min_max_scale(values: np.ndarray, out: np.ndarray, scope: NormalizationScope) -> None:
+    """Write the min-max rescaling of ``values`` into ``out``, which may be ``values``."""
     if scope == "dimension":
         lo = values.min(axis=0, keepdims=True)
         hi = values.max(axis=0, keepdims=True)
@@ -347,16 +416,15 @@ def normalize(
         hi = values.max(keepdims=True)
     else:
         raise ValueError(f"unknown normalization scope {scope!r}")
+    # min() and max() propagate NaN, so the extremes show any non-finite value.
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NonFiniteValueError("cannot normalize a table with NaN or infinite values")
 
     span = hi - lo
     degenerate = span == 0.0
-    scaled = values - lo
-    scaled /= np.where(degenerate, 1.0, span)
-    np.copyto(scaled, 0.5, where=degenerate)
-    scaled.setflags(write=False)
-    return NormalizedEmbeddingTable(
-        table.vocabulary, scaled, duplicates_skipped=table.duplicates_skipped
-    )
+    np.subtract(values, lo, out=out)
+    out /= np.where(degenerate, 1.0, span)
+    np.copyto(out, 0.5, where=degenerate)
 
 
 def emit_embeddings(

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from lex2vec import cli
@@ -306,6 +308,25 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert "parse error: line 4097: expected 2 values, found 1" in err
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_huge_header_vocab_size_allocates_nothing(self, workdir, capsys, monkeypatch, source):
+        # The header is untrusted: it may lower the buffer estimate but never raise it.
+        text = "999999999999 2\n" + EMBEDDINGS
+        if source == "path":
+            (workdir / "huge.txt").write_text(text, encoding="utf-8")
+            embeddings = str(workdir / "huge.txt")
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            embeddings = "-"
+        code, out, err = run(capsys, [
+            "label", "-e", embeddings, "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert err == (
+            "lex2vec: parse error: line 1: header declares 999999999999 words"
+            " but 3 data lines follow\n"
+        )
+
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"
         bad.write_text("good\tposemo\t7\n", encoding="utf-8")
@@ -367,3 +388,25 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestMemory:
+    def test_load_normalized_holds_one_matrix(self, tmp_path):
+        """Parsing and normalizing allocate little beyond the matrix they return."""
+        values = io.StringIO()
+        np.savetxt(values, np.random.default_rng(3).normal(size=(20_000, 100)), fmt="%.6f")
+        path = tmp_path / "emb.txt"
+        path.write_text(
+            "".join(f"w{i} {line}\n" for i, line in enumerate(values.getvalue().splitlines())),
+            encoding="utf-8",
+        )
+        del values
+        args = cli.build_parser().parse_args(["label", "-e", str(path), "-l", "unused:plain"])
+        tracemalloc.start()
+        try:
+            table = cli._load_normalized(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.vectors.shape == (20_000, 100)
+        assert peak < 1.5 * table.vectors.nbytes

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from lex2vec import (
     parse_embeddings,
     read_embeddings,
 )
+from lex2vec import embeddings
+from lex2vec.embeddings import _normalize_parsed
 from lex2vec.errors import LineError
 
 GLOVE_TWO_LINES = "good 1.0 0.0\nbad -1.0 0.5\n"
@@ -188,7 +192,7 @@ def numbered_lines(count: int) -> list[str]:
 
 
 class TestChunkedParse:
-    """Inputs that span the parser's 4,096-line chunks."""
+    """Inputs that span the parser's 1,024-line chunks (4,096 is a chunk edge)."""
 
     @pytest.mark.parametrize("line_number", [4096, 4097])
     @pytest.mark.parametrize(
@@ -250,6 +254,77 @@ class TestChunkedParse:
         assert back.vectors.view(np.int64).tolist() == table.vectors.view(np.int64).tolist()
 
 
+def padded_lines(count: int, start: int, digits: int) -> list[str]:
+    # The values of numbered_lines, written with `digits` trailing zeros.
+    zeros = "0" * digits
+    return [f"w{i} {i}.5{zeros} -{i}.25{zeros}\n" for i in range(start, start + count)]
+
+
+class TestSizedBuffer:
+    """read_embeddings sizes its buffer from the file; the result equals parse_embeddings."""
+
+    @pytest.fixture
+    def allocated(self, monkeypatch):
+        rows = []
+        original = embeddings._buffer_rows
+
+        def spy(*args):
+            rows.append(original(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(embeddings, "_buffer_rows", spy)
+        return rows
+
+    def assert_same_as_parsed(self, table, lines):
+        expected = parse_embeddings(lines)
+        assert table.vocabulary == expected.vocabulary
+        assert table.vectors.view(np.int64).tolist() == expected.vectors.view(np.int64).tolist()
+        assert table.duplicates_skipped == expected.duplicates_skipped == 1
+        assert table.vectors.shape == (len(lines) - 1, 2)
+        assert not table.vectors.flags.writeable
+
+    def with_duplicate(self, lines):
+        lines[-5] = "w3 99.0 99.0\n"
+        return lines
+
+    def test_estimate_runs_out_and_doubling_takes_over(self, tmp_path, allocated):
+        chunk = embeddings._CHUNK_LINES
+        lines = self.with_duplicate(padded_lines(chunk, 0, 60) + padded_lines(3 * chunk, chunk, 0))
+        path = tmp_path / "long_then_short.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        table = read_embeddings(path)
+        assert allocated[0] < table.word_count
+        self.assert_same_as_parsed(table, lines)
+
+    def test_estimate_too_large_is_trimmed(self, tmp_path, allocated):
+        chunk = embeddings._CHUNK_LINES
+        lines = self.with_duplicate(padded_lines(chunk, 0, 0) + padded_lines(2 * chunk, chunk, 60))
+        path = tmp_path / "short_then_long.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        table = read_embeddings(path)
+        assert allocated[0] > 2 * table.word_count
+        self.assert_same_as_parsed(table, lines)
+
+    def test_pipe_without_size_grows_by_doubling(self, allocated):
+        lines = self.with_duplicate(padded_lines(3 * embeddings._CHUNK_LINES + 7, 0, 3))
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "w", encoding="utf-8") as stream:
+                stream.write("".join(lines))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            table = read_embeddings(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)  # a writer still blocked on a full pipe then fails
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert allocated == [embeddings._CHUNK_LINES]
+        self.assert_same_as_parsed(table, lines)
+
+
 class TestTableValidation:
     def test_duplicate_vocabulary_rejected(self):
         with pytest.raises(ValueError):
@@ -295,6 +370,16 @@ class TestTableValidation:
     def test_normalized_table_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             NormalizedEmbeddingTable(("a",), [[1.5]])
+
+    @pytest.mark.parametrize("value", [-1e-300, 1.0000000000000002])
+    def test_normalized_table_rejects_just_out_of_range(self, value):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            NormalizedEmbeddingTable(("a", "b"), [[0.5, 1.0], [0.0, value]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_normalized_table_rejects_non_finite(self, value):
+        with pytest.raises(NonFiniteValueError):
+            NormalizedEmbeddingTable(("a", "b"), [[0.5, 1.0], [0.0, value]])
 
 
 class TestNormalize:
@@ -402,9 +487,39 @@ class TestNormalizeProperties:
         lo = raw.min(axis=axis, keepdims=True)
         span = raw.max(axis=axis, keepdims=True) - lo
         expected = np.where(span == 0.0, 0.5, (raw - lo) / np.where(span == 0.0, 1.0, span))
+        before = raw.view(np.int64).tolist()
         normed = normalize(table, scope=scope)
         assert normed.vectors.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert not normed.vectors.flags.writeable
+        # The public normalize returns a new array and leaves its input alone.
+        assert not np.shares_memory(normed.vectors, raw)
+        assert raw.view(np.int64).tolist() == before
+
+        # The CLI path rescales a freshly parsed buffer in place, to the same bits.
+        parsed = parse_embeddings(io.StringIO(emit_embeddings(table)))
+        assert parsed.vectors.view(np.int64).tolist() == before
+        buffer = parsed.vectors
+        in_place = _normalize_parsed(parsed, scope=scope)
+        assert in_place.vectors is buffer
+        assert in_place.vectors.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert not in_place.vectors.flags.writeable
+
+    def test_in_place_path_takes_over_only_fresh_parser_buffers(self):
+        parsed = parse_embeddings(io.StringIO(GLOVE_TWO_LINES))
+        raw = parsed.vectors.copy()
+        # The public normalize copies even a fresh buffer ...
+        normalize(parsed)
+        np.testing.assert_array_equal(parsed.vectors, raw)
+        # ... the in-place path takes it over once ...
+        first = _normalize_parsed(parsed)
+        assert first.vectors is parsed.vectors
+        # ... and copies a buffer taken over before or built by hand.
+        again = _normalize_parsed(first)
+        assert again.vectors is not first.vectors
+        np.testing.assert_array_equal(again.vectors, first.vectors)
+        hand_built = EmbeddingTable(("good", "bad"), raw)
+        assert _normalize_parsed(hand_built).vectors is not hand_built.vectors
+        np.testing.assert_array_equal(hand_built.vectors, raw)
 
     @given(table=raw_tables())
     def test_idempotence(self, table):
