@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .embeddings import (
     EmbeddingFormat,
@@ -165,7 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
     fmt = _EMBEDDING_FORMATS[args.embedding_format]
     if args.embeddings == "-":
-        table = parse_embeddings(sys.stdin, fmt)
+        # Read like a path: strict UTF-8, lines ending at "\n" only.
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+        try:
+            table = parse_embeddings(stream, fmt)
+        finally:
+            stream.detach()  # sys.stdin stays open
     else:
         table = read_embeddings(args.embeddings, fmt)
     # The parsed buffer has no other owner, so it is rescaled rather than copied.
@@ -223,16 +229,6 @@ _COMMANDS = {
     "metrics": (_metrics, _render_report),
 }
 
-_WRITE_CHUNK = 1 << 20  # characters
-
-
-def _write(stream: TextIO, text: str) -> None:
-    # Slices keep the encoded copy of the output small; a contributor
-    # document is tens of megabytes and would otherwise be encoded whole.
-    for start in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[start : start + _WRITE_CHUNK])
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: parse, lexicon, label and write, naming the stage that fails."""
     args = build_parser().parse_args(argv)
@@ -246,13 +242,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = compute(args, table, lexicons)
         # Rendering needs neither input; freeing them first lowers peak memory.
         del table, lexicons
-        text = render(args, result)
+        # UTF-8 whatever the locale, so stdout and -o carry the same bytes.
+        data = render(args, result).encode("utf-8")
         stage = "write"
         if args.output is None or args.output == "-":
-            _write(sys.stdout, text)
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
         else:
-            with open(args.output, "w", encoding="utf-8") as stream:
-                _write(stream, text)
+            with open(args.output, "wb") as stream:
+                stream.write(data)
     except (Lex2vecError, OSError, ValueError) as exc:
         print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
         return 1

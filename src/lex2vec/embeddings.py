@@ -147,6 +147,21 @@ def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, raw
 
 
+def _undecodable_line(path: str | Path, newline: str | None) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines are split as a text read with ``newline`` splits them.  Only an
+    input that already failed to decode is read this second time.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as stream:
+        for number, line in enumerate(stream, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an escaped byte
+                return number
+    return None
+
+
 def _parse_header(number: int, line: str) -> tuple[int, int]:
     tokens = line.split()
     if len(tokens) != 2 or not all(_is_positive_int(t) for t in tokens):
@@ -344,11 +359,16 @@ def read_embeddings(
     """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`.
 
     Lines end at ``\n`` only, as on standard input: a lone ``\r`` stays
-    inside its line, and the ``\r`` of a CRLF ending is whitespace.
+    inside its line, and the ``\r`` of a CRLF ending is whitespace.  Invalid
+    UTF-8 raises :class:`MalformedLineError` naming the first such line.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as stream:
-        # A pipe reports size 0, which leaves the buffer to grow by doubling.
-        return _parse(stream, fmt, os.fstat(stream.fileno()).st_size)
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as stream:
+            # A pipe reports size 0, which leaves the buffer to grow by doubling.
+            return _parse(stream, fmt, os.fstat(stream.fileno()).st_size)
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, newline="\n")
+        raise MalformedLineError(f"invalid UTF-8 ({exc.reason})", line) from None
 
 
 def normalize(

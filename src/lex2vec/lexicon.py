@@ -20,6 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .embeddings import _content_lines, _undecodable_line
 from .errors import (
     MalformedLexiconLineError,
     MissingDelimiterError,
@@ -133,10 +134,10 @@ class Lexicon:
 
 def _tab_lines(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield the line number and stripped tab-separated fields of every
-    non-blank line; numbers count every line, blank ones included."""
-    for number, raw in enumerate(source, start=1):
-        if raw.strip():
-            yield number, [f.strip() for f in raw.split("\t")]
+    line; blank lines and a leading byte-order mark are skipped as in
+    embedding files."""
+    for number, raw in _content_lines(source):
+        yield number, [f.strip() for f in raw.split("\t")]
 
 
 def load_nrc(source: Iterable[str]) -> Lexicon:
@@ -244,15 +245,23 @@ _LOADERS = {"nrc": load_nrc, "liwc": load_liwc, "plain": load_plain}
 
 
 def load_lexicon(path: str | Path, fmt: str) -> Lexicon:
-    """Open ``path`` as UTF-8 text and load it as ``fmt`` (nrc, liwc, or plain)."""
+    """Open ``path`` as UTF-8 text and load it as ``fmt`` (nrc, liwc, or plain).
+
+    Invalid UTF-8 raises :class:`MalformedLexiconLineError` naming the first
+    such line.
+    """
     try:
         loader = _LOADERS[fmt]
     except KeyError:
         raise ValueError(
             f"unknown lexicon format {fmt!r}; expected one of {', '.join(LEXICON_FORMATS)}"
         ) from None
-    with open(path, "r", encoding="utf-8") as stream:
-        return loader(stream)
+    try:
+        with open(path, "r", encoding="utf-8") as stream:
+            return loader(stream)
+    except UnicodeDecodeError as exc:
+        line = _undecodable_line(path, newline=None)
+        raise MalformedLexiconLineError(f"invalid UTF-8 ({exc.reason})", line) from None
 
 
 def merge_lexicons(lexicons: Sequence[Lexicon]) -> Lexicon:

@@ -152,81 +152,6 @@ def _subclass_text(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _IndentedWriter:
-    """Writes ``json.dumps(..., indent=2, ensure_ascii=False)`` text as parts.
-
-    With ``indent`` set, the stdlib encoder runs in pure Python, passing each
-    value through a chain of nested generators.  Here a scalar costs one
-    dictionary lookup on its exact type and one call to its text function
-    (the stdlib's C escaper for strings), and the parts are joined every
-    ``_DUMPS_BATCH`` so a contributor document never holds millions of small
-    strings at once.  ``pad`` is a newline followed by the indentation of the
-    value being written.
-    """
-
-    def __init__(self, batch_size: int):
-        self.batch_size = batch_size
-        self.pieces: list[str] = []
-        self.batch: list[str] = []
-
-    def flush(self) -> None:
-        self.pieces.append("".join(self.batch))
-        self.batch.clear()
-
-    def value(self, value: Any, pad: str) -> None:
-        text = _SCALAR_TEXT.get(type(value))
-        if text is not None:
-            self.batch.append(text(value))
-        elif isinstance(value, dict):
-            self.mapping(value, pad)
-        elif isinstance(value, (list, tuple)):
-            self.sequence(value, pad)
-        else:
-            self.batch.append(_subclass_text(value))
-
-    def mapping(self, mapping: dict, pad: str) -> None:
-        if not mapping:
-            self.batch.append("{}")
-            return
-        inner = pad + "  "
-        batch, batch_size, scalar_text = self.batch, self.batch_size, _SCALAR_TEXT.get
-        append = batch.append
-        separator = "{" + inner
-        for key, item in mapping.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            text = scalar_text(type(item))
-            if text is not None:
-                append(separator + encode_basestring(key) + ": " + text(item))
-            else:
-                append(separator + encode_basestring(key) + ": ")
-                self.value(item, inner)
-            separator = "," + inner
-            if len(batch) >= batch_size:
-                self.flush()
-        append(pad + "}")
-
-    def sequence(self, sequence: list | tuple, pad: str) -> None:
-        if not sequence:
-            self.batch.append("[]")
-            return
-        inner = pad + "  "
-        batch, batch_size, scalar_text = self.batch, self.batch_size, _SCALAR_TEXT.get
-        append = batch.append
-        separator = "[" + inner
-        for item in sequence:
-            text = scalar_text(type(item))
-            if text is not None:
-                append(separator + text(item))
-            else:
-                append(separator)
-                self.value(item, inner)
-            separator = "," + inner
-            if len(batch) >= batch_size:
-                self.flush()
-        append(pad + "]")
-
-
 def dumps_document(document: Mapping[str, Any]) -> str:
     """Serialize a document to JSON text (stable layout, trailing newline).
 
@@ -234,9 +159,52 @@ def dumps_document(document: Mapping[str, Any]) -> str:
     allow_nan=False) + "\\n"``.  NaN and infinities raise ``ValueError``; a
     value of another type, or a key that is not a ``str``, raises
     ``TypeError``.  Documents are trees, so cycles are not checked.
+
+    With ``indent`` set, the stdlib encoder runs in pure Python, passing each
+    value through a chain of nested generators.  Here a scalar costs one
+    dictionary lookup on its exact type and one call to its text function
+    (the stdlib's C escaper for strings), and the parts are joined every
+    ``_DUMPS_BATCH`` so a contributor document never holds millions of small
+    strings at once.
     """
-    writer = _IndentedWriter(_DUMPS_BATCH)
-    writer.value(document, "\n")
-    writer.batch.append("\n")
-    writer.flush()
-    return "".join(writer.pieces)
+    batch_size, scalar_text = _DUMPS_BATCH, _SCALAR_TEXT.get
+    pieces: list[str] = []
+    batch: list[str] = []
+    append = batch.append
+
+    def write(value: Any, pad: str) -> None:
+        # pad is a newline followed by the indentation of value.
+        if isinstance(value, dict):
+            keyed, brackets, items = True, "{}", value.items()
+        elif isinstance(value, (list, tuple)):
+            keyed, brackets, items = False, "[]", enumerate(value)
+        else:
+            append((scalar_text(type(value)) or _subclass_text)(value))
+            return
+        if not value:
+            append(brackets)
+            return
+        inner = pad + "  "
+        separator = brackets[0] + inner
+        for key, item in items:
+            head = separator
+            if keyed:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                head += encode_basestring(key) + ": "
+            text = scalar_text(type(item))
+            if text is not None:
+                append(head + text(item))
+            else:
+                append(head)
+                write(item, inner)
+            separator = "," + inner
+            if len(batch) >= batch_size:
+                pieces.append("".join(batch))
+                batch.clear()
+        append(pad + brackets[1])
+
+    write(document, "\n")
+    append("\n")
+    pieces.append("".join(batch))
+    return "".join(pieces)

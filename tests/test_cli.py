@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lex2vec
 from lex2vec import cli
 from lex2vec.cli import main
 
@@ -25,6 +30,11 @@ def workdir(tmp_path):
     (tmp_path / "nrc.txt").write_text(NRC_LEXICON, encoding="utf-8")
     (tmp_path / "liwc.dic").write_text(LIWC_LEXICON, encoding="utf-8")
     return tmp_path
+
+
+def stdin_of(data: bytes, encoding: str = "utf-8", errors: str = "strict") -> io.TextIOWrapper:
+    """Standard input holding ``data``, with a text layer that decodes as given."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding, errors=errors)
 
 
 def run(capsys, argv):
@@ -93,18 +103,8 @@ class TestLabelCommand:
         assert out == ""
         assert out_path.read_text(encoding="utf-8") == EXPECTED_LABEL_TSV
 
-    @pytest.mark.parametrize("target", ["stdout", "file"])
-    def test_output_written_in_slices_is_whole(self, workdir, capsys, monkeypatch, target):
-        monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
-        out_path = workdir / "result.tsv"
-        argv = ["label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain"]
-        code, out, _ = run(capsys, argv + (["-o", str(out_path)] if target == "file" else []))
-        assert code == 0
-        written = out_path.read_text(encoding="utf-8") if target == "file" else out
-        assert written == EXPECTED_LABEL_TSV
-
     def test_stdin_embeddings(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(EMBEDDINGS))
+        monkeypatch.setattr("sys.stdin", stdin_of(EMBEDDINGS.encode()))
         code, out, _ = run(capsys, [
             "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
         ])
@@ -114,7 +114,7 @@ class TestLabelCommand:
     def test_stdin_spanning_parser_chunks(self, workdir, capsys, monkeypatch):
         # Filler words sit inside the value range and match no lexicon entry.
         filler = "".join(f"filler{i} 0.5 0.5\n" for i in range(5000))
-        monkeypatch.setattr("sys.stdin", io.StringIO(filler + EMBEDDINGS))
+        monkeypatch.setattr("sys.stdin", stdin_of((filler + EMBEDDINGS).encode()))
         code, out, _ = run(capsys, [
             "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
         ])
@@ -131,12 +131,32 @@ class TestLabelCommand:
         assert out == EXPECTED_LABEL_TSV
 
     def test_stdin_bom_before_word2vec_header(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff3 2\n" + EMBEDDINGS))
+        monkeypatch.setattr("sys.stdin", stdin_of(("\ufeff3 2\n" + EMBEDDINGS).encode()))
         code, out, err = run(capsys, [
             "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
         ])
         assert (code, err) == (0, "")
         assert out == EXPECTED_LABEL_TSV
+
+    def test_stdin_is_utf8_whatever_its_text_encoding(self, workdir, capsys, monkeypatch):
+        # A Latin-1 text layer would read the BOM as three characters.
+        data = ("\ufeff3 2\n" + EMBEDDINGS).encode()
+        monkeypatch.setattr("sys.stdin", stdin_of(data, encoding="latin-1"))
+        code, out, err = run(capsys, [
+            "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, err) == (0, "")
+        assert out == EXPECTED_LABEL_TSV
+
+    def test_stdin_rejects_invalid_utf8_as_a_path_does(self, workdir, capsys, monkeypatch):
+        # The C locale's stdin decodes with surrogateescape, which would accept it.
+        data = b"go\xffod 1.0 0.0\n" + EMBEDDINGS.encode()
+        monkeypatch.setattr("sys.stdin", stdin_of(data, errors="surrogateescape"))
+        code, out, err = run(capsys, [
+            "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("lex2vec: parse error: ")
 
     def test_tsv_does_not_build_contributor_records(self, workdir, capsys, monkeypatch):
         argv = ["label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain"]
@@ -165,7 +185,8 @@ class TestLabelCommand:
         _, unfiltered, _ = run(capsys, argv)
         _, topk, _ = run(capsys, [*argv, "--filter", "topk:2"])
         _, cap, _ = run(capsys, [*argv, "--filter", "cap:2"])
-        assert topk == cap != unfiltered
+        _, none, _ = run(capsys, [*argv, "--filter", "none"])
+        assert topk == cap != unfiltered == none
 
     def test_byte_identical_across_runs(self, workdir, capsys):
         argv = [
@@ -301,12 +322,34 @@ class TestFailureModes:
     def test_stdin_bad_line_after_first_chunk_names_line(self, workdir, capsys, monkeypatch):
         lines = [f"w{i} 0.5 0.5\n" for i in range(5000)]
         lines[4096] = "bad 0.5\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        monkeypatch.setattr("sys.stdin", stdin_of("".join(lines).encode()))
         code, out, err = run(capsys, [
             "label", "-e", "-", "-l", f"{workdir / 'lex.tsv'}:plain",
         ])
         assert (code, out) == (1, "")
         assert "parse error: line 4097: expected 2 values, found 1" in err
+
+    @pytest.mark.parametrize(
+        "target, newline", [("embeddings", "\n"), ("lexicon", "\n"), ("lexicon", "\r")]
+    )
+    def test_invalid_utf8_names_its_line(self, workdir, capsys, target, newline):
+        # Past the first 8 KB decoded and past the first 1,024-line parse chunk.
+        line = "w{} 0.5 0.5" if target == "embeddings" else "w{}\tjoy"
+        lines = [line.format(i).encode() for i in range(3000)]
+        lines[1500] = lines[1500].replace(b"w", b"w\xff")
+        bad = workdir / "bad.txt"
+        bad.write_bytes(newline.encode().join(lines) + newline.encode())
+        embeddings, lexicon = workdir / "emb.txt", workdir / "lex.tsv"
+        if target == "embeddings":
+            embeddings = bad
+        else:
+            lexicon = bad
+        code, out, err = run(capsys, ["label", "-e", str(embeddings), "-l", f"{lexicon}:plain"])
+        assert (code, out) == (1, "")
+        stage = "parse" if target == "embeddings" else "lexicon"
+        assert err == (
+            f"lex2vec: {stage} error: line 1501: invalid UTF-8 (invalid start byte)\n"
+        )
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_huge_header_vocab_size_allocates_nothing(self, workdir, capsys, monkeypatch, source):
@@ -316,7 +359,7 @@ class TestFailureModes:
             (workdir / "huge.txt").write_text(text, encoding="utf-8")
             embeddings = str(workdir / "huge.txt")
         else:
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
             embeddings = "-"
         code, out, err = run(capsys, [
             "label", "-e", embeddings, "-l", f"{workdir / 'lex.tsv'}:plain",
@@ -388,6 +431,23 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("output", ["tsv", "json"])
+    def test_stdout_matches_output_file_under_any_io_encoding(self, workdir, output):
+        lexicon = workdir / "wide.tsv"
+        lexicon.write_text("good\tposémo\nbad\t日\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "lex2vec.cli", "label", "-e", str(workdir / "emb.txt"),
+                "-l", f"{lexicon}:plain", *(["--json"] if output == "json" else [])]
+        src = str(Path(lex2vec.__file__).parents[1])
+        env = {**os.environ, "PYTHONIOENCODING": "latin-1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        stdout = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        out_path = workdir / "result.out"
+        subprocess.run([*argv, "-o", str(out_path)], env=env, capture_output=True, check=True)
+        assert stdout == out_path.read_bytes()
+        assert "posémo".encode() in stdout and "日".encode() in stdout
 
 
 class TestMemory:

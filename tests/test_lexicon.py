@@ -184,6 +184,19 @@ class TestLoadPlain:
             load_lexicon(path, "tsv")
 
 
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("nrc", NRC_SAMPLE), ("liwc", LIWC_SAMPLE), ("plain", "café\tposemo\nbad\tnegemo\n")],
+    ids=["nrc", "liwc", "plain"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, fmt, text):
+    with_bom, without_bom = tmp_path / "bom.txt", tmp_path / "plain.txt"
+    with_bom.write_text(text, encoding="utf-8-sig")
+    without_bom.write_text(text, encoding="utf-8")
+    assert with_bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_lexicon(with_bom, fmt) == load_lexicon(without_bom, fmt)
+
+
 class TestLookup:
     def test_prefix_match(self):
         lex = Lexicon("demo", {}, (("happ", frozenset({"posemo"})),))
