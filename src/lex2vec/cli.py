@@ -11,21 +11,21 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .embeddings import (
+    _SCOPE_AXES,
     EmbeddingFormat,
     NormalizedEmbeddingTable,
     _normalize_parsed,
     parse_embeddings,
     read_embeddings,
 )
-from .errors import Lex2vecError
+from .errors import Lex2vecError, MalformedLineError
 from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions
 from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
-from .metrics import SweepReport, coverage, sweep
+from .metrics import AVG_MODES, SweepReport, coverage, sweep
 from .report import (
     dumps_document,
     labeling_to_document,
@@ -36,12 +36,6 @@ from .report import (
 
 DEFAULT_THETA = 0.75
 DEFAULT_THETA_GRID = (0.81, 0.79, 0.77, 0.75)
-
-_EMBEDDING_FORMATS = {
-    "auto": EmbeddingFormat.AUTO,
-    "word2vec": EmbeddingFormat.WORD2VEC_TEXT,
-    "glove": EmbeddingFormat.GLOVE_TEXT,
-}
 
 
 def _theta_arg(text: str) -> float:
@@ -96,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="embedding file in Word2Vec or GloVe text form ('-' reads stdin)",
     )
     common.add_argument(
-        "--embedding-format", choices=sorted(_EMBEDDING_FORMATS), default="auto",
+        "--embedding-format", choices=sorted(fmt.value for fmt in EmbeddingFormat),
+        default="auto",
         help="input layout (default: auto-detect from the first line)",
     )
     common.add_argument(
-        "--norm-scope", choices=("dimension", "word", "global"), default="dimension",
+        "--norm-scope", choices=tuple(_SCOPE_AXES), default="dimension",
         help="what min-max normalization ranges over (default: dimension)",
     )
     common.add_argument(
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     averaging = argparse.ArgumentParser(add_help=False)
     averaging.add_argument(
-        "--avg-mode", choices=("all", "named"), default="all",
+        "--avg-mode", choices=AVG_MODES, default="all",
         help="dimensions counted in the TSV average column (default: all)",
     )
     averaging.add_argument(
@@ -163,15 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
-    fmt = _EMBEDDING_FORMATS[args.embedding_format]
-    if args.embeddings == "-":
-        # Read like a path: strict UTF-8, lines ending at "\n" only.
-        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+def _stdin_lines() -> Iterator[str]:
+    # Read like a path: strict UTF-8, lines ending at "\n" only.
+    for number, line in enumerate(sys.stdin.buffer, start=1):
         try:
-            table = parse_embeddings(stream, fmt)
-        finally:
-            stream.detach()  # sys.stdin stays open
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedLineError(f"invalid UTF-8 ({exc.reason})", number) from None
+
+
+def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
+    fmt = EmbeddingFormat(args.embedding_format)
+    if args.embeddings == "-":
+        table = parse_embeddings(_stdin_lines(), fmt)
     else:
         table = read_embeddings(args.embeddings, fmt)
     # The parsed buffer has no other owner, so it is rescaled rather than copied.

@@ -35,6 +35,9 @@ logger = logging.getLogger(__name__)
 
 NormalizationScope = Literal["dimension", "word", "global"]
 
+# The numpy axis each normalization scope takes its min and max over.
+_SCOPE_AXES: dict[str, int | None] = {"dimension": 0, "word": 1, "global": None}
+
 
 class EmbeddingFormat(Enum):
     """The accepted embedding text layouts."""
@@ -425,17 +428,12 @@ def _normalize_parsed(
 
 def _min_max_scale(values: np.ndarray, out: np.ndarray, scope: NormalizationScope) -> None:
     """Write the min-max rescaling of ``values`` into ``out``, which may be ``values``."""
-    if scope == "dimension":
-        lo = values.min(axis=0, keepdims=True)
-        hi = values.max(axis=0, keepdims=True)
-    elif scope == "word":
-        lo = values.min(axis=1, keepdims=True)
-        hi = values.max(axis=1, keepdims=True)
-    elif scope == "global":
-        lo = values.min(keepdims=True)
-        hi = values.max(keepdims=True)
-    else:
-        raise ValueError(f"unknown normalization scope {scope!r}")
+    try:
+        axis = _SCOPE_AXES[scope]
+    except KeyError:
+        raise ValueError(f"unknown normalization scope {scope!r}") from None
+    lo = values.min(axis=axis, keepdims=True)
+    hi = values.max(axis=axis, keepdims=True)
     # min() and max() propagate NaN, so the extremes show any non-finite value.
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NonFiniteValueError("cannot normalize a table with NaN or infinite values")

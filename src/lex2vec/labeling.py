@@ -79,8 +79,10 @@ class _Contributors(Sequence):
     def __len__(self) -> int:
         return len(self.hits)
 
-    def __getitem__(self, index: int) -> tuple[Contribution, ...]:
+    def __getitem__(self, index: int | slice) -> tuple:
         index = range(len(self))[index]
+        if isinstance(index, range):  # a slice: one record tuple per dimension
+            return tuple(map(self.__getitem__, index))
         words, counts = self.words, self.counts[index]
         records = []
         for code in self.hits[index].tolist():

@@ -27,8 +27,6 @@ from .errors import (
     UnknownCategoryIdError,
 )
 
-LEXICON_FORMATS = ("nrc", "liwc", "plain")
-
 # Trie key holding the label set of a prefix that ends at this node.  Real
 # keys are single characters, so None can never collide.
 _END = None
@@ -164,6 +162,11 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
     return Lexicon("nrc", entries)
 
 
+def _is_delimiter(fields: list[str]) -> bool:
+    # A '%' line may have spaces or tabs around the '%'.
+    return "".join(fields) == "%"
+
+
 def load_liwc(source: Iterable[str]) -> Lexicon:
     """Load a LIWC-style ``.dic`` file.
 
@@ -172,61 +175,54 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
     pattern (the ``*`` is stripped); any other ``*`` is kept literally.
     """
     lines = list(source)
+    rows = _tab_lines(lines)
     categories: dict[str, str] = {}
     exact: dict[str, set[str]] = {}
     prefixes: list[tuple[str, set[str]]] = []
-    section = 0  # 0: before opening %, 1: category block, 2: body
 
-    for number, fields in _tab_lines(lines):
-        # A '%' line may have spaces or tabs around the '%'.
-        is_delimiter = "".join(fields) == "%"
-        if section == 0:
-            if not is_delimiter:
-                raise MissingDelimiterError(
-                    "expected '%' opening the category section", number
-                )
-            section = 1
-        elif section == 1:
-            if is_delimiter:
-                section = 2
-                continue
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise MalformedLexiconLineError(
-                    "expected 'category_id<TAB>category_name'", number
-                )
-            cat_id, cat_name = fields
-            if cat_id in categories:
-                raise MalformedLexiconLineError(
-                    f"duplicate category id {cat_id!r}", number
-                )
-            categories[cat_id] = cat_name
-        else:
-            fields = [f for f in fields if f]
-            if len(fields) < 2:
-                raise MalformedLexiconLineError(
-                    "expected a pattern followed by at least one category id", number
-                )
-            pattern, ids = fields[0], fields[1:]
-            labels: set[str] = set()
-            for cat_id in ids:
-                if cat_id not in categories:
-                    raise UnknownCategoryIdError(
-                        f"category id {cat_id!r} is not declared in the header", number
-                    )
-                labels.add(categories[cat_id])
-            if pattern.endswith("*"):
-                prefix = pattern[:-1]
-                if not prefix:
-                    raise MalformedLexiconLineError("bare '*' is not a valid pattern", number)
-                prefixes.append((prefix, labels))
-            else:
-                exact.setdefault(pattern, set()).update(labels)
+    for number, fields in rows:
+        if not _is_delimiter(fields):
+            raise MissingDelimiterError("expected '%' opening the category section", number)
+        break
 
-    if section < 2:
+    for number, fields in rows:
+        if _is_delimiter(fields):
+            break
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise MalformedLexiconLineError(
+                "expected 'category_id<TAB>category_name'", number
+            )
+        cat_id, cat_name = fields
+        if cat_id in categories:
+            raise MalformedLexiconLineError(f"duplicate category id {cat_id!r}", number)
+        categories[cat_id] = cat_name
+    else:
         # Names the last line of the file, trailing blank lines included.
         raise MissingDelimiterError(
             "category section was never closed with '%'", len(lines) or None
         )
+
+    for number, fields in rows:
+        fields = [f for f in fields if f]
+        if len(fields) < 2:
+            raise MalformedLexiconLineError(
+                "expected a pattern followed by at least one category id", number
+            )
+        pattern, ids = fields[0], fields[1:]
+        labels: set[str] = set()
+        for cat_id in ids:
+            if cat_id not in categories:
+                raise UnknownCategoryIdError(
+                    f"category id {cat_id!r} is not declared in the header", number
+                )
+            labels.add(categories[cat_id])
+        if pattern.endswith("*"):
+            prefix = pattern[:-1]
+            if not prefix:
+                raise MalformedLexiconLineError("bare '*' is not a valid pattern", number)
+            prefixes.append((prefix, labels))
+        else:
+            exact.setdefault(pattern, set()).update(labels)
     return Lexicon("liwc", exact, tuple(prefixes))
 
 
@@ -242,6 +238,7 @@ def load_plain(source: Iterable[str]) -> Lexicon:
 
 
 _LOADERS = {"nrc": load_nrc, "liwc": load_liwc, "plain": load_plain}
+LEXICON_FORMATS = tuple(_LOADERS)
 
 
 def load_lexicon(path: str | Path, fmt: str) -> Lexicon:

@@ -11,6 +11,15 @@ from .labeling import DimensionLabeling, ThetaLike, as_theta, label_dimensions
 from .lexicon import Lexicon
 
 
+# The denominators of avg_labels_per_dimension: every dimension, or named ones.
+AVG_MODES = ("all", "named")
+
+
+def _check_avg_mode(mode: str) -> None:
+    if mode not in AVG_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, AVG_MODES))}, got {mode!r}")
+
+
 def unnamed_ratio(labeling: DimensionLabeling) -> float:
     """Fraction of dimensions that received no labels, in [0, 1]."""
     empty = sum(1 for counts in labeling.per_dimension if not counts)
@@ -32,9 +41,7 @@ def avg_labels_per_dimension(
     Raises:
         NoNamedDimensionsError: ``named`` mode on a fully unnamed labeling.
     """
-    if mode not in ("all", "named"):
-        raise ValueError(f"mode must be 'all' or 'named', got {mode!r}")
-
+    _check_avg_mode(mode)
     if distinct:
         mass = sum(len(counts) for counts in labeling.per_dimension)
     else:
@@ -119,12 +126,17 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every (lexicon, theta) cell and assemble a report.
 
+    Lexicons must have distinct resource names, which tell their rows apart.
     Each cell runs a fresh labeling with contributor retention off.  Rows
     come back ordered by (resource, descending theta) regardless of the
     order of ``thetas``.
     """
     if not lexicons:
         raise ValueError("at least one lexicon is required")
+    names = [lexicon.resource_name for lexicon in lexicons]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"lexicons share the resource name {name!r}")
     theta_values = [as_theta(t) for t in thetas]
     if not theta_values:
         raise ValueError("at least one theta is required")

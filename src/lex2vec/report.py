@@ -14,7 +14,7 @@ from json.encoder import encode_basestring
 from typing import Any, Mapping
 
 from .labeling import Contribution, DimensionLabeling, ordered_labels
-from .metrics import SweepReport, SweepRow, coverage
+from .metrics import SweepReport, SweepRow, _check_avg_mode, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
@@ -50,6 +50,7 @@ def format_percent(ratio: float) -> str:
 
 def render_sweep_tsv(report: SweepReport, avg_mode: str = "all") -> str:
     """Tabulate a sweep report; percentages carry one decimal place."""
+    _check_avg_mode(avg_mode)
     lines = [SWEEP_TSV_HEADER]
     for row in report.rows:
         avg = row.avg_labels_all if avg_mode == "all" else row.avg_labels_named
@@ -114,18 +115,7 @@ def report_to_document(report: SweepReport) -> dict[str, Any]:
 
 
 def report_from_document(document: Mapping[str, Any]) -> SweepReport:
-    return SweepReport(
-        tuple(
-            SweepRow(
-                row["theta"],
-                row["resource"],
-                row["unnamed_ratio"],
-                row["avg_labels_all"],
-                row["avg_labels_named"],
-            )
-            for row in document["rows"]
-        )
-    )
+    return SweepReport(tuple(SweepRow(**row) for row in document["rows"]))
 
 
 def _float_text(value: float) -> str:

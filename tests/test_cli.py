@@ -330,23 +330,28 @@ class TestFailureModes:
         assert "parse error: line 4097: expected 2 values, found 1" in err
 
     @pytest.mark.parametrize(
-        "target, newline", [("embeddings", "\n"), ("lexicon", "\n"), ("lexicon", "\r")]
+        "target, newline",
+        [("embeddings", "\n"), ("stdin", "\n"), ("lexicon", "\n"), ("lexicon", "\r")],
     )
-    def test_invalid_utf8_names_its_line(self, workdir, capsys, target, newline):
+    def test_invalid_utf8_names_its_line(self, workdir, capsys, monkeypatch, target, newline):
         # Past the first 8 KB decoded and past the first 1,024-line parse chunk.
-        line = "w{} 0.5 0.5" if target == "embeddings" else "w{}\tjoy"
+        line = "w{}\tjoy" if target == "lexicon" else "w{} 0.5 0.5"
         lines = [line.format(i).encode() for i in range(3000)]
         lines[1500] = lines[1500].replace(b"w", b"w\xff")
+        data = newline.encode().join(lines) + newline.encode()
         bad = workdir / "bad.txt"
-        bad.write_bytes(newline.encode().join(lines) + newline.encode())
-        embeddings, lexicon = workdir / "emb.txt", workdir / "lex.tsv"
+        bad.write_bytes(data)
+        embeddings, lexicon = str(workdir / "emb.txt"), workdir / "lex.tsv"
         if target == "embeddings":
-            embeddings = bad
+            embeddings = str(bad)
+        elif target == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            embeddings = "-"
         else:
             lexicon = bad
-        code, out, err = run(capsys, ["label", "-e", str(embeddings), "-l", f"{lexicon}:plain"])
+        code, out, err = run(capsys, ["label", "-e", embeddings, "-l", f"{lexicon}:plain"])
         assert (code, out) == (1, "")
-        stage = "parse" if target == "embeddings" else "lexicon"
+        stage = "lexicon" if target == "lexicon" else "parse"
         assert err == (
             f"lex2vec: {stage} error: line 1501: invalid UTF-8 (invalid start byte)\n"
         )
@@ -369,6 +374,16 @@ class TestFailureModes:
             "lex2vec: parse error: line 1: header declares 999999999999 words"
             " but 3 data lines follow\n"
         )
+
+    def test_sweep_rejects_lexicons_sharing_a_resource_name(self, workdir, capsys):
+        other = workdir / "other.tsv"
+        other.write_text("table\tjoy\n", encoding="utf-8")
+        code, out, err = run(capsys, [
+            "sweep", "-e", str(workdir / "emb.txt"),
+            "-l", f"{workdir / 'lex.tsv'}:plain", "-l", f"{other}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert err == "lex2vec: label error: lexicons share the resource name 'plain'\n"
 
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"

@@ -358,6 +358,14 @@ class TestTableValidation:
         narrow.setflags(write=False)
         assert EmbeddingTable(("a", "b"), narrow).vectors.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [(np.ones(1), "2-D matrix, got ndim=1"), (np.ones((1, 0)), "at least one dimension")],
+    )
+    def test_vectors_must_be_a_matrix_with_columns(self, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(("a",), vectors)
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(("a",), [[1.0], [2.0]])

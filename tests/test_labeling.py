@@ -85,6 +85,17 @@ class TestLabelDimensions:
             (Contribution("good", "posemo", "low"),),
         )
 
+    @pytest.mark.parametrize(
+        "index",
+        [slice(None), slice(-3, None), slice(1, -1, 2), slice(None, None, -2), slice(-100, 100)],
+    )
+    def test_contributors_slice_like_a_tuple(self, index):
+        rng = np.random.default_rng(23)
+        table = NormalizedEmbeddingTable(tuple(f"w{i}" for i in range(40)), rng.random((40, 7)))
+        lexicon = random_lexicon(rng, table.vocabulary)
+        contributors = label_dimensions(table, lexicon, 0.7, keep_contributors=True).contributors
+        assert contributors[index] == tuple(contributors)[index]
+
     def test_contributor_and_fast_paths_agree(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
@@ -155,6 +166,10 @@ class TestLabelingValidation:
     def test_contributors_must_cover_dimensions(self):
         with pytest.raises(ValueError):
             DimensionLabeling(({"a": 1}, {}), Theta(0.75), "demo", ((),))
+
+    def test_labeling_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            DimensionLabeling((), Theta(0.75), "demo")
 
     def test_counts_are_read_only(self, toy_table, toy_lexicon):
         labeling = label_dimensions(toy_table, toy_lexicon, 0.75)

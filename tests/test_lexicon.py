@@ -58,6 +58,12 @@ class TestLoadNrc:
             load_nrc(io.StringIO("good\tposemo\t1\nbad\tnegemo\n"))
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize("line", ["good\t\t1", "\tjoy\t1"])
+    def test_empty_word_or_label(self, line):
+        with pytest.raises(MalformedLexiconLineError, match="empty word or label") as excinfo:
+            load_nrc(io.StringIO(f"bad\tnegemo\t1\n{line}\n"))
+        assert excinfo.value.line_number == 2
+
     def test_bad_flag(self):
         with pytest.raises(MalformedLexiconLineError):
             load_nrc(io.StringIO("good\tposemo\t2\n"))
@@ -245,6 +251,10 @@ class TestLexiconValidation:
         with pytest.raises(ValueError):
             Lexicon("demo", {"good": {"pos\temo"}})
 
+    def test_empty_label_rejected(self):
+        with pytest.raises(ValueError, match="carries an empty label"):
+            Lexicon("demo", {"good": {"posemo", ""}})
+
     def test_newline_in_word_rejected(self):
         with pytest.raises(ValueError):
             Lexicon("demo", {"go\nod": {"posemo"}})
@@ -282,6 +292,10 @@ class TestMergeAndEmit:
             ("sad", frozenset({"negemo"})),
         )
         assert merged.lookup("happy") == {"joy", "posemo"}
+
+    def test_merge_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="at least one lexicon"):
+            merge_lexicons([])
 
     def test_merge_single_is_identity(self):
         a = Lexicon("liwc", {"good": {"posemo"}})

@@ -143,6 +143,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(toy_table, [], [0.75])
 
+    def test_lexicons_sharing_a_resource_name_rejected(self, toy_table, toy_lexicon):
+        other = Lexicon("demo", {"table": {"joy"}})
+        with pytest.raises(ValueError, match="share the resource name 'demo'"):
+            sweep(toy_table, [toy_lexicon, other], [0.75])
+
     def test_empty_thetas_rejected(self, toy_table, toy_lexicon):
         with pytest.raises(ValueError):
             sweep(toy_table, [toy_lexicon], [])

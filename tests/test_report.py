@@ -68,6 +68,11 @@ class TestSweepTsv:
         text = render_sweep_tsv(report, avg_mode="named")
         assert text.splitlines()[1] == "1\tnrc\t100.0%\tn/a"
 
+    def test_unknown_avg_mode_rejected_as_by_the_average(self):
+        report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
+        with pytest.raises(ValueError, match="mode must be 'all' or 'named', got 'bogus'"):
+            render_sweep_tsv(report, avg_mode="bogus")
+
     def test_percent_formatting(self):
         assert format_percent(0.306) == "30.6%"
         assert format_percent(0.0) == "0.0%"
@@ -144,6 +149,13 @@ class TestReportJson:
         )
         doc = json.loads(dumps_document(report_to_document(report)))
         assert report_from_document(doc) == report
+
+    def test_from_document_rejects_an_unknown_row_key(self):
+        report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
+        document = report_to_document(report)
+        document["rows"][0]["avg_labels_median"] = 1.0
+        with pytest.raises(TypeError, match="avg_labels_median"):
+            report_from_document(document)
 
     def test_row_field_order(self):
         report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
