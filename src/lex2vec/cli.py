@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .embeddings import (
     _SCOPE_AXES,
     EmbeddingFormat,
     NormalizedEmbeddingTable,
-    _normalize_parsed,
     parse_embeddings,
     read_embeddings,
 )
-from .errors import Lex2vecError, MalformedLineError
+from .errors import Lex2vecError
 from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions
 from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
 from .metrics import AVG_MODES, SweepReport, coverage, sweep
@@ -158,23 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdin_lines() -> Iterator[str]:
-    # Read like a path: strict UTF-8, lines ending at "\n" only.
-    for number, line in enumerate(sys.stdin.buffer, start=1):
-        try:
-            yield line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedLineError(f"invalid UTF-8 ({exc.reason})", number) from None
-
-
 def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
+    # The parser rescales its own buffer, so the matrix is held once.
     fmt = EmbeddingFormat(args.embedding_format)
     if args.embeddings == "-":
-        table = parse_embeddings(_stdin_lines(), fmt)
-    else:
-        table = read_embeddings(args.embeddings, fmt)
-    # The parsed buffer has no other owner, so it is rescaled rather than copied.
-    return _normalize_parsed(table, args.norm_scope)
+        # Read like a path: lines end at "\n" only, and the parser names the
+        # line of a byte that is not UTF-8.
+        lines = (line.decode("utf-8", "surrogateescape") for line in sys.stdin.buffer)
+        return parse_embeddings(lines, fmt, _scope=args.norm_scope)
+    return read_embeddings(args.embeddings, fmt, _scope=args.norm_scope)
 
 
 def _apply_filter(labeling: DimensionLabeling, limit: int | None) -> DimensionLabeling:

@@ -16,7 +16,6 @@ import itertools
 import logging
 import os
 import re
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    LineError,
     MalformedLineError,
     NonFiniteValueError,
 )
@@ -74,6 +74,8 @@ class EmbeddingTable:
     def __post_init__(self):
         vocab = self.vocabulary
         if not isinstance(vocab, _Vocabulary):
+            if isinstance(vocab, str):  # would iterate as its characters
+                raise TypeError("vocabulary must be a sequence of words, not a str")
             vocab = _Vocabulary(vocab)
             if not vocab:
                 raise ValueError("vocabulary must not be empty")
@@ -150,19 +152,23 @@ def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, raw
 
 
-def _undecodable_line(path: str | Path, newline: str | None) -> int | None:
-    """The number of the first line of ``path`` that is not valid UTF-8.
+# Decoding with errors="surrogateescape" turns each byte that is not valid
+# UTF-8 into one of these code points, so a search finds it at its own line.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
-    Lines are split as a text read with ``newline`` splits them.  Only an
-    input that already failed to decode is read this second time.
+
+def _check_utf8(number: int, line: str, error: type[LineError] = MalformedLineError) -> None:
+    """Raise ``error`` naming the line if ``line`` holds a byte that is not UTF-8.
+
+    The reason is the one a strict decode of the line's bytes gives.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as stream:
-        for number, line in enumerate(stream, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # an escaped byte
-                return number
-    return None
+    if _ESCAPED_BYTE.search(line):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            reason = "surrogates not allowed"  # escaped bytes that form valid UTF-8
+        except UnicodeError as exc:
+            reason = exc.reason
+        raise error(f"invalid UTF-8 ({reason})", number)
 
 
 def _parse_header(number: int, line: str) -> tuple[int, int]:
@@ -184,9 +190,6 @@ _CHUNK_LINES = 1024
 # never written cost address space only, while running short doubles the buffer.
 _ESTIMATE_MARGIN = 1 / 16
 
-# The buffers the parser has returned and nothing has taken over yet, by id.
-_PARSED_BUFFERS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
 
 def _parse_numbers(lines: list[str], ndmin: int) -> np.ndarray:
     # The one number grammar of the parser (ASCII decimal, no '_' separators).
@@ -196,6 +199,7 @@ def _parse_numbers(lines: list[str], ndmin: int) -> np.ndarray:
 
 def _parse_line(number: int, line: str, dim_count: int) -> np.ndarray:
     """Parse the values of one data line, naming the line in any error."""
+    _check_utf8(number, line)
     values = line.split()[1:]
     if len(values) != dim_count:
         raise MalformedLineError(f"expected {dim_count} values, found {len(values)}", number)
@@ -219,11 +223,12 @@ def _parse_line(number: int, line: str, dim_count: int) -> np.ndarray:
 def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str], np.ndarray]:
     """Split a chunk of data lines into its words and a float64 value block.
 
-    All lines are parsed by one ``np.loadtxt`` call.  If that fails or yields a
-    wrong shape or a non-finite value, the chunk is parsed again line by line,
-    which raises the first error with its line number.  A lone ``\\r`` inside a
-    line stops ``np.loadtxt`` but not ``str.split``; there the re-scan finds no
-    error and its rows become the block.
+    All lines are parsed by one ``np.loadtxt`` call.  If a word holds a byte
+    that is not UTF-8, or that call fails (as an escaped byte among the values
+    makes it) or yields a wrong shape or a non-finite value, the chunk is parsed
+    again line by line, which raises the first error with its line number.  A
+    lone ``\\r`` inside a line stops ``np.loadtxt`` but not ``str.split``; there
+    the re-scan finds no error and its rows become the block.
     """
     words: list[str] = []
     rests: list[str] = []
@@ -232,7 +237,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str
         words.append(parts[0])
         rests.append(parts[1] if len(parts) == 2 else "")
     block = None
-    if all(rests):
+    if all(rests) and not _ESCAPED_BYTE.search("".join(words)):
         try:
             block = _parse_numbers(rests, ndmin=2)
         except ValueError:
@@ -264,12 +269,16 @@ def _buffer_rows(
 def parse_embeddings(
     source: Iterable[str],
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
+    *,
+    _scope: NormalizationScope | None = None,
 ) -> EmbeddingTable:
     """Parse a line-oriented embedding source into an :class:`EmbeddingTable`.
 
     Args:
         source: Lines of text (an open file, ``io.StringIO``, or a list).  A
-            UTF-8 byte-order mark at the start is dropped.
+            UTF-8 byte-order mark at the start is dropped.  A byte that is not
+            UTF-8, as ``errors="surrogateescape"`` decodes it (U+DC80 to
+            U+DCFF), is an error of its line.
         fmt: Input layout; ``AUTO`` decides from the first non-blank line.
 
     Returns:
@@ -279,20 +288,29 @@ def parse_embeddings(
 
     Raises:
         EmptyInputError: no data lines were found.
-        MalformedLineError: wrong token count or unparseable number.
+        MalformedLineError: invalid UTF-8, wrong token count or unparseable
+            number.
         NonFiniteValueError: a value is NaN, infinite, or overflows float64.
         DimensionMismatchError: the header disagrees with the data lines.
     """
-    return _parse(source, fmt, input_bytes=0)
+    return _parse(source, fmt, 0, _scope)
 
 
-def _parse(source: Iterable[str], fmt: EmbeddingFormat, input_bytes: int) -> EmbeddingTable:
-    # input_bytes sizes the row buffer; 0 when the size is unknown.
+def _parse(
+    source: Iterable[str],
+    fmt: EmbeddingFormat,
+    input_bytes: int,
+    scope: NormalizationScope | None,
+) -> EmbeddingTable:
+    # input_bytes sizes the row buffer; 0 when the size is unknown.  With a
+    # scope the buffer is min-max rescaled before it is frozen, and the table is
+    # a NormalizedEmbeddingTable: the caller gets the matrix once, not twice.
     lines = _content_lines(source)
     try:
         first_number, first_line = next(lines)
     except StopIteration:
         raise EmptyInputError("no embedding lines found") from None
+    _check_utf8(first_number, first_line)
 
     if fmt is EmbeddingFormat.AUTO:
         fmt = detect_format(first_line)
@@ -305,6 +323,7 @@ def _parse(source: Iterable[str], fmt: EmbeddingFormat, input_bytes: int) -> Emb
             first_number, first_line = next(lines)
         except StopIteration:
             raise EmptyInputError("header present but no embedding lines follow") from None
+        _check_utf8(first_number, first_line)
 
     dim_count = len(first_line.split()) - 1
     if dim_count < 1:
@@ -350,28 +369,29 @@ def _parse(source: Iterable[str], fmt: EmbeddingFormat, input_bytes: int) -> Emb
     if duplicates:
         logger.warning("skipped %d duplicate word(s); first occurrence kept", duplicates)
     vectors.resize((len(words), dim_count), refcheck=False)
+    if scope is not None:
+        _min_max_scale(vectors, vectors, scope)
     vectors.setflags(write=False)
-    _PARSED_BUFFERS[id(vectors)] = vectors
-    return EmbeddingTable(tuple(words), vectors, duplicates_skipped=duplicates)
+    table = EmbeddingTable if scope is None else NormalizedEmbeddingTable
+    return table(tuple(words), vectors, duplicates_skipped=duplicates)
 
 
 def read_embeddings(
     path: str | Path,
     fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
+    *,
+    _scope: NormalizationScope | None = None,
 ) -> EmbeddingTable:
     """Open ``path`` as UTF-8 text and parse it with :func:`parse_embeddings`.
 
     Lines end at ``\n`` only, as on standard input: a lone ``\r`` stays
     inside its line, and the ``\r`` of a CRLF ending is whitespace.  Invalid
-    UTF-8 raises :class:`MalformedLineError` naming the first such line.
+    UTF-8 raises :class:`MalformedLineError` naming its line, and an earlier
+    faulty line wins whatever its fault.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="\n") as stream:
-            # A pipe reports size 0, which leaves the buffer to grow by doubling.
-            return _parse(stream, fmt, os.fstat(stream.fileno()).st_size)
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(path, newline="\n")
-        raise MalformedLineError(f"invalid UTF-8 ({exc.reason})", line) from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as stream:
+        # A pipe reports size 0, which leaves the buffer to grow by doubling.
+        return _parse(stream, fmt, os.fstat(stream.fileno()).st_size, _scope)
 
 
 def normalize(
@@ -400,29 +420,6 @@ def normalize(
     scaled.setflags(write=False)
     return NormalizedEmbeddingTable(
         table.vocabulary, scaled, duplicates_skipped=table.duplicates_skipped
-    )
-
-
-def _normalize_parsed(
-    table: EmbeddingTable, scope: NormalizationScope = "dimension"
-) -> NormalizedEmbeddingTable:
-    """:func:`normalize` without the copy, for a table the parser just returned.
-
-    The parser's buffer is rescaled in place and frozen again, so ``table``
-    then holds the normalized values too: the caller must drop it.  Vectors
-    that do not own their data, or that the parser did not return (or that were
-    taken over before), are normalized into a copy instead.
-    """
-    values = table.vectors
-    if _PARSED_BUFFERS.pop(id(values), None) is not values or not values.flags.owndata:
-        return normalize(table, scope)
-    values.setflags(write=True)
-    try:
-        _min_max_scale(values, values, scope)
-    finally:
-        values.setflags(write=False)
-    return NormalizedEmbeddingTable(
-        table.vocabulary, values, duplicates_skipped=table.duplicates_skipped
     )
 
 

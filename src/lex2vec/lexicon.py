@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .embeddings import _content_lines, _undecodable_line
+from .embeddings import _check_utf8, _content_lines
 from .errors import (
     MalformedLexiconLineError,
     MissingDelimiterError,
@@ -84,6 +84,8 @@ def _merged(
     """Lowercase names and labels, union the labels of equal names, check each entry."""
     merged: dict[str, frozenset[str]] = {}
     for name, labels in entries:
+        if isinstance(labels, str):  # would iterate as its characters
+            raise TypeError(f"labels of {kind} {name!r} must be a collection, not a str")
         key = name.lower()
         merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
     for name, labels in merged.items():
@@ -132,9 +134,11 @@ class Lexicon:
 
 def _tab_lines(source: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield the line number and stripped tab-separated fields of every
-    line; blank lines and a leading byte-order mark are skipped as in
-    embedding files."""
+    line; blank lines and a leading byte-order mark are skipped, and a byte
+    that is not UTF-8 is an error of its line, as in embedding files."""
     for number, raw in _content_lines(source):
+        if not raw.isascii():  # a quick pass: an escaped byte is never ASCII
+            _check_utf8(number, raw, MalformedLexiconLineError)
         yield number, [f.strip() for f in raw.split("\t")]
 
 
@@ -244,8 +248,8 @@ LEXICON_FORMATS = tuple(_LOADERS)
 def load_lexicon(path: str | Path, fmt: str) -> Lexicon:
     """Open ``path`` as UTF-8 text and load it as ``fmt`` (nrc, liwc, or plain).
 
-    Invalid UTF-8 raises :class:`MalformedLexiconLineError` naming the first
-    such line.
+    Invalid UTF-8 raises :class:`MalformedLexiconLineError` naming its line,
+    and an earlier faulty line wins whatever its fault.
     """
     try:
         loader = _LOADERS[fmt]
@@ -253,12 +257,8 @@ def load_lexicon(path: str | Path, fmt: str) -> Lexicon:
         raise ValueError(
             f"unknown lexicon format {fmt!r}; expected one of {', '.join(LEXICON_FORMATS)}"
         ) from None
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            return loader(stream)
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(path, newline=None)
-        raise MalformedLexiconLineError(f"invalid UTF-8 ({exc.reason})", line) from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
+        return loader(stream)
 
 
 def merge_lexicons(lexicons: Sequence[Lexicon]) -> Lexicon:

@@ -126,7 +126,8 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every (lexicon, theta) cell and assemble a report.
 
-    Lexicons must have distinct resource names, which tell their rows apart.
+    Lexicons must have distinct resource names and thetas distinct values,
+    which tell the rows apart.
     Each cell runs a fresh labeling with contributor retention off.  Rows
     come back ordered by (resource, descending theta) regardless of the
     order of ``thetas``.
@@ -140,6 +141,10 @@ def sweep(
     theta_values = [as_theta(t) for t in thetas]
     if not theta_values:
         raise ValueError("at least one theta is required")
+    values = [theta.value for theta in theta_values]
+    for value in values:
+        if values.count(value) > 1:
+            raise ValueError(f"the theta grid repeats {value}")
 
     rows: list[SweepRow] = []
     for lexicon in lexicons:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lex2vec
 from lex2vec import cli
@@ -385,6 +389,58 @@ class TestFailureModes:
         assert (code, out) == (1, "")
         assert err == "lex2vec: label error: lexicons share the resource name 'plain'\n"
 
+    @pytest.mark.parametrize("grid", ["0.8,0.8", "0.8,0.75,0.80"])
+    def test_sweep_rejects_a_repeated_theta(self, workdir, capsys, grid):
+        # Two rows of one theta and resource could not be told apart.
+        code, out, err = run(capsys, [
+            "sweep", "-e", str(workdir / "emb.txt"),
+            "-l", f"{workdir / 'lex.tsv'}:plain", "--theta-grid", grid,
+        ])
+        assert (code, out) == (1, "")
+        assert err == "lex2vec: label error: the theta grid repeats 0.8\n"
+
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize(
+        "data, lexicon, message",
+        [
+            # A wrong value count on line 5 and invalid UTF-8 on line 10.
+            (
+                b"".join(
+                    b"w5 0.1\n" if i == 5 else b"w\xff%d 0.1 0.2\n" % i if i == 10
+                    else b"w%d 0.1 0.2\n" % i
+                    for i in range(1, 13)
+                ),
+                "lex.tsv:plain",
+                "parse error: line 5: expected 2 values, found 1",
+            ),
+            # A lone \r splits line 2 into three values; line 4 is invalid UTF-8.
+            (
+                b"3 2\ngood 1.0 0.\r0\nbad 0.0 0.5\n\xfcable50.5 1.0\n",
+                "lex.tsv:plain",
+                "parse error: line 2: header declares 2 dimensions but data has 3",
+            ),
+            # A valid file, and an NRC lexicon with a field missing on line 2
+            # and invalid UTF-8 on line 3.
+            (
+                EMBEDDINGS.encode(),
+                "bad.nrc:nrc",
+                "lexicon error: line 2: expected 3 tab-separated fields, found 2",
+            ),
+        ],
+        ids=["count-before-bad-byte", "cr-before-bad-byte", "nrc-field-before-bad-byte"],
+    )
+    def test_first_faulty_line_wins_by_path_and_on_stdin(
+        self, workdir, capsys, monkeypatch, source, data, lexicon, message
+    ):
+        (workdir / "bad.nrc").write_bytes(b"good\tjoy\t1\nbad\tjoy\n\xffx\tjoy\t1\n")
+        (workdir / "data.txt").write_bytes(data)
+        embeddings = str(workdir / "data.txt")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+            embeddings = "-"
+        code, out, err = run(capsys, ["label", "-e", embeddings, "-l", str(workdir / lexicon)])
+        assert (code, out, err) == (1, "", f"lex2vec: {message}\n")
+
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"
         bad.write_text("good\tposemo\t7\n", encoding="utf-8")
@@ -446,6 +502,138 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# A number as np.loadtxt reads one: ASCII decimal, inf or nan, no '_'.
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)", re.I | re.A)
+
+
+def _first_faulty_embedding_line(data: bytes) -> tuple[bool, int | None]:
+    """Whether an embedding file fails, and the line named, by per-line rules."""
+    lines = []  # (number, tokens, or None for invalid UTF-8) of non-blank lines
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        if number == 1:
+            raw = raw.removeprefix("\ufeff".encode())
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            lines.append((number, None))
+            continue
+        if text.strip():
+            lines.append((number, text.split()))
+    if not lines:
+        return True, None
+    number, tokens = lines[0]
+    header = None
+    if tokens and len(tokens) == 2 and all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens):
+        header, lines = (number, int(tokens[0]), int(tokens[1])), lines[1:]
+        if not lines:
+            return True, None
+    number, tokens = lines[0]
+    if tokens is None or len(tokens) < 2 or (header and len(tokens) - 1 != header[2]):
+        return True, number
+    dims = len(tokens) - 1
+    for number, tokens in lines:
+        if tokens is None or len(tokens) != dims + 1:
+            return True, number
+        values = tokens[1:]
+        if not all(_NUMBER.fullmatch(v) for v in values):
+            return True, number
+        if not all(math.isfinite(float(v)) for v in values):
+            return True, number
+    if header and len(lines) != header[1]:
+        return True, header[0]
+    return False, None
+
+
+def _first_faulty_nrc_line(data: bytes) -> tuple[bool, int | None]:
+    """Whether an NRC file fails, and the line named, by per-line rules."""
+    for number, raw in enumerate(re.split(rb"\r\n|\r|\n", data), start=1):
+        if number == 1:
+            raw = raw.removeprefix("\ufeff".encode())
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return True, number
+        if not text.strip():
+            continue
+        fields = [f.strip() for f in text.split("\t")]
+        if len(fields) != 3 or fields[2] not in ("0", "1") or not all(fields[:2]):
+            return True, number
+    return False, None
+
+
+VALID_GLOVE = b"good 1.0 -0.5\nbad 0.25 2\ntable .5 1e1\nhappy -1.5 0.0\n"
+VALID_W2V = b"4 2\n" + VALID_GLOVE
+VALID_NRC = b"good\tposemo\t1\nbad\tnegemo\t1\nhappy\tjoy\t1\nbad\tjoy\t0\n"
+MUTATIONS = (b"\xff", "\ufeff".encode(), b"\r", "\x85".encode(), "\u2028".encode(), b"nan", b"_")
+COMMANDS = (["label"], ["label", "--json", "--contributors"], ["sweep"], ["metrics", "--json"])
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with one to three byte inserts, deletes or overwrites."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "delete", "overwrite"]))
+        piece = b"" if kind == "delete" else draw(st.sampled_from(MUTATIONS))
+        data[at : at + (kind != "insert")] = piece
+    return bytes(data)
+
+
+def run_bytes(argv: list[str], stdin: bytes = b"") -> tuple[int, bytes, str]:
+    """``main`` with standard input holding ``stdin``: exit code, stdout bytes, stderr."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = stdin_of(stdin), stdin_of(b""), io.StringIO()
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        return code, sys.stdout.buffer.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+class TestRobustness:
+    """Mutated inputs: a clean exit, the same result by path and on stdin, and
+    an error at the first line that an independent per-line check flags."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(mutated(VALID_GLOVE), mutated(VALID_W2V)),
+           command=st.sampled_from(COMMANDS))
+    def test_mutated_embeddings(self, tmp_path, data, command):
+        (tmp_path / "emb.txt").write_bytes(data)
+        (tmp_path / "nrc.txt").write_bytes(VALID_NRC)
+        lexicon = ["-l", f"{tmp_path / 'nrc.txt'}:nrc"]
+        by_path = run_bytes([*command, "-e", str(tmp_path / "emb.txt"), *lexicon])
+        on_stdin = run_bytes([*command, "-e", "-", *lexicon], stdin=data)
+        assert by_path == on_stdin
+        fails, line = _first_faulty_embedding_line(data)
+        self.check_outcome(by_path, "parse", fails, line)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated(VALID_NRC), command=st.sampled_from(COMMANDS))
+    def test_mutated_nrc_lexicon(self, tmp_path, data, command):
+        (tmp_path / "emb.txt").write_bytes(VALID_GLOVE)
+        (tmp_path / "nrc.txt").write_bytes(data)
+        result = run_bytes([*command, "-e", str(tmp_path / "emb.txt"),
+                            "-l", f"{tmp_path / 'nrc.txt'}:nrc"])
+        fails, line = _first_faulty_nrc_line(data)
+        self.check_outcome(result, "lexicon", fails, line)
+
+    @staticmethod
+    def check_outcome(result, stage: str, fails: bool, line: int | None) -> None:
+        code, out, err = result
+        assert "Traceback" not in err
+        if not fails:
+            assert code == 0 and out
+            return
+        assert (code, out) == (1, b"")
+        assert err.startswith(f"lex2vec: {stage} error: ")
+        named = re.match(r"lex2vec: \w+ error: line (\d+): ", err)
+        assert (int(named.group(1)) if named else None) == line
 
 
 class TestOutputBytes:

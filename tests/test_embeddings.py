@@ -26,7 +26,6 @@ from lex2vec import (
     read_embeddings,
 )
 from lex2vec import embeddings
-from lex2vec.embeddings import _normalize_parsed
 from lex2vec.errors import LineError
 
 GLOVE_TWO_LINES = "good 1.0 0.0\nbad -1.0 0.5\n"
@@ -202,6 +201,9 @@ class TestChunkedParse:
             ("bad 1.0\n", MalformedLineError, "expected 2 values, found 1"),
             ("bad\n", MalformedLineError, "expected 2 values, found 0"),
             ("bad 1.0 -inf\n", NonFiniteValueError, "non-finite value '-inf'"),
+            # "surrogateescape" decodes the byte 0xFF to U+DCFF.
+            ("b\udcffad 1.0 2.0\n", MalformedLineError, "invalid UTF-8 (invalid start byte)"),
+            ("bad 1.\udcff0 2.0\n", MalformedLineError, "invalid UTF-8 (invalid start byte)"),
         ],
     )
     def test_bad_line_at_chunk_edge(self, line_number, bad_line, error, message):
@@ -219,6 +221,27 @@ class TestChunkedParse:
         with pytest.raises(MalformedLineError) as excinfo:
             parse_embeddings(io.StringIO("".join(lines)))
         assert excinfo.value.line_number == 10
+
+    def test_first_bad_line_wins_over_a_later_escaped_byte(self):
+        lines = numbered_lines(5000)
+        lines[3999] = "la\udcffte 1.0 2.0\n"
+        lines[9] = "early 1.0\n"
+        with pytest.raises(MalformedLineError, match="^line 10: expected 2 values, found 1$"):
+            parse_embeddings(io.StringIO("".join(lines)))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\udcff 2\ngood 1.0 0.0\n", "line 1: invalid UTF-8 (invalid start byte)"),
+            ("g\udcffood 1.0 0.0\n", "line 1: invalid UTF-8 (invalid start byte)"),
+            ("2 1\ngo\udce2 1.0\nbad 1.0\n", "line 2: invalid UTF-8 (invalid continuation byte)"),
+            # Escaped bytes that form valid UTF-8 can only come from a str source.
+            ("\udcc3\udca9 1.0\n", "line 1: invalid UTF-8 (surrogates not allowed)"),
+        ],
+    )
+    def test_escaped_byte_checked_before_header_and_first_line(self, text, message):
+        with pytest.raises(MalformedLineError, match=f"^{re.escape(message)}$"):
+            parse_embeddings(io.StringIO(text))
 
     def test_duplicate_of_word_from_earlier_chunk(self):
         lines = numbered_lines(9000)
@@ -333,6 +356,11 @@ class TestTableValidation:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable((), np.zeros((0, 3)))
+
+    def test_str_vocabulary_rejected(self):
+        # A str would iterate as one-character words.
+        with pytest.raises(TypeError, match="not a str"):
+            EmbeddingTable("ab", [[1.0], [2.0]])
 
     def test_whitespace_word_rejected(self):
         with pytest.raises(ValueError):
@@ -503,31 +531,11 @@ class TestNormalizeProperties:
         assert not np.shares_memory(normed.vectors, raw)
         assert raw.view(np.int64).tolist() == before
 
-        # The CLI path rescales a freshly parsed buffer in place, to the same bits.
-        parsed = parse_embeddings(io.StringIO(emit_embeddings(table)))
-        assert parsed.vectors.view(np.int64).tolist() == before
-        buffer = parsed.vectors
-        in_place = _normalize_parsed(parsed, scope=scope)
-        assert in_place.vectors is buffer
+        # The CLI path has the parser rescale its own buffer, to the same bits.
+        in_place = parse_embeddings(io.StringIO(emit_embeddings(table)), _scope=scope)
+        assert isinstance(in_place, NormalizedEmbeddingTable)
         assert in_place.vectors.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert not in_place.vectors.flags.writeable
-
-    def test_in_place_path_takes_over_only_fresh_parser_buffers(self):
-        parsed = parse_embeddings(io.StringIO(GLOVE_TWO_LINES))
-        raw = parsed.vectors.copy()
-        # The public normalize copies even a fresh buffer ...
-        normalize(parsed)
-        np.testing.assert_array_equal(parsed.vectors, raw)
-        # ... the in-place path takes it over once ...
-        first = _normalize_parsed(parsed)
-        assert first.vectors is parsed.vectors
-        # ... and copies a buffer taken over before or built by hand.
-        again = _normalize_parsed(first)
-        assert again.vectors is not first.vectors
-        np.testing.assert_array_equal(again.vectors, first.vectors)
-        hand_built = EmbeddingTable(("good", "bad"), raw)
-        assert _normalize_parsed(hand_built).vectors is not hand_built.vectors
-        np.testing.assert_array_equal(hand_built.vectors, raw)
 
     @given(table=raw_tables())
     def test_idempotence(self, table):

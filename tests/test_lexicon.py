@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestLoadNrc:
         with pytest.raises(MalformedLexiconLineError):
             load_nrc(io.StringIO("good\tposemo\t2\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # "surrogateescape" decodes the byte 0xFF to U+DCFF.
+            ("good\tjoy\t1\n\udcffx\tjoy\t1\n", "line 2: invalid UTF-8 (invalid start byte)"),
+            ("good\tjoy\t1\nbad\tjoy\n\udcffx\tjoy\t1\n",
+             "line 2: expected 3 tab-separated fields, found 2"),
+        ],
+    )
+    def test_first_faulty_line_wins_escaped_bytes_included(self, text, message):
+        with pytest.raises(MalformedLexiconLineError, match=f"^{re.escape(message)}$"):
+            load_nrc(io.StringIO(text))
+
     def test_blank_lines_ignored(self):
         lex = load_nrc(io.StringIO("\ngood\tposemo\t1\n\n"))
         assert lex.lookup("good") == {"posemo"}
@@ -100,6 +114,10 @@ class TestLoadLiwc:
     def test_missing_opening_delimiter(self):
         with pytest.raises(MissingDelimiterError):
             load_liwc(io.StringIO("1\tposemo\n%\nhate\t1\n"))
+
+    def test_escaped_byte_named_before_the_section_closes(self):
+        with pytest.raises(MalformedLexiconLineError, match="^line 3: invalid UTF-8"):
+            load_liwc(io.StringIO("%\n1\tposemo\n2\tneg\udcffemo\n"))
 
     def test_unclosed_category_section(self):
         with pytest.raises(MissingDelimiterError):
@@ -262,6 +280,14 @@ class TestLexiconValidation:
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             Lexicon("demo", {}, (("", frozenset({"posemo"})),))
+
+    @pytest.mark.parametrize(
+        "exact, prefixes", [({"good": "joy"}, ()), ({}, (("go", "joy"),))]
+    )
+    def test_str_label_set_rejected(self, exact, prefixes):
+        # A str would iterate as one label per character.
+        with pytest.raises(TypeError, match="not a str"):
+            Lexicon("demo", exact, prefixes)
 
     def test_exact_entries_are_read_only(self):
         lex = Lexicon("demo", {"good": {"posemo"}})

@@ -148,6 +148,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="share the resource name 'demo'"):
             sweep(toy_table, [toy_lexicon, other], [0.75])
 
+    @pytest.mark.parametrize("thetas", [[0.8, 0.8], [0.75, 0.8, Theta(0.8)]])
+    def test_repeated_theta_rejected(self, toy_table, toy_lexicon, thetas):
+        with pytest.raises(ValueError, match="^the theta grid repeats 0.8$"):
+            sweep(toy_table, [toy_lexicon], thetas)
+
     def test_empty_thetas_rejected(self, toy_table, toy_lexicon):
         with pytest.raises(ValueError):
             sweep(toy_table, [toy_lexicon], [])
