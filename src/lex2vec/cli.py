@@ -48,7 +48,11 @@ def _theta_grid_arg(text: str) -> tuple[float, ...]:
     parts = [p for chunk in text.split(",") for p in chunk.split() if p]
     if not parts:
         raise argparse.ArgumentTypeError("theta grid must contain at least one value")
-    return tuple(_theta_arg(p) for p in parts)
+    grid = tuple(_theta_arg(p) for p in parts)
+    for index, theta in enumerate(grid):
+        if theta in grid[:index]:  # a usage error, found before any input is read
+            raise argparse.ArgumentTypeError(f"the theta grid repeats {theta}")
+    return grid
 
 
 def _lexicon_arg(text: str) -> tuple[str, str]:

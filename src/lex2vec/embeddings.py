@@ -133,13 +133,9 @@ def detect_format(first_line: str) -> EmbeddingFormat:
     header; anything else is treated as a GloVe data line.
     """
     tokens = first_line.split()
-    if len(tokens) == 2 and all(_is_positive_int(t) for t in tokens):
+    if len(tokens) == 2 and all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens):
         return EmbeddingFormat.WORD2VEC_TEXT
     return EmbeddingFormat.GLOVE_TEXT
-
-
-def _is_positive_int(token: str) -> bool:
-    return token.isascii() and token.isdigit() and int(token) > 0
 
 
 def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -172,12 +168,11 @@ def _check_utf8(number: int, line: str, error: type[LineError] = MalformedLineEr
 
 
 def _parse_header(number: int, line: str) -> tuple[int, int]:
-    tokens = line.split()
-    if len(tokens) != 2 or not all(_is_positive_int(t) for t in tokens):
-        raise MalformedLineError(
-            "expected Word2Vec header '<vocab_size> <dim_count>'", number
-        )
-    return int(tokens[0]), int(tokens[1])
+    # The header grammar is detect_format's.
+    if detect_format(line) is not EmbeddingFormat.WORD2VEC_TEXT:
+        raise MalformedLineError("expected Word2Vec header '<vocab_size> <dim_count>'", number)
+    vocab_size, dim_count = map(int, line.split())
+    return vocab_size, dim_count
 
 
 # Content lines parsed per np.loadtxt call: large enough that the per-call cost
@@ -247,23 +242,18 @@ def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str
     return words, block
 
 
-def _buffer_rows(
-    chunk: list[tuple[int, str]], input_bytes: int, header: tuple[int, int] | None
-) -> int:
+def _buffer_rows(chunk: list[tuple[int, str]], input_bytes: int) -> int:
     """The rows to allocate once the first chunk is parsed.
 
     With the input's size known, that is the size over the chunk's mean bytes
-    per line, plus a margin.  A Word2Vec header can only lower that estimate,
-    never raise it: it is untrusted.  Without a size (standard input, a pipe)
-    the buffer starts at one chunk and grows by doubling.
+    per line, plus a margin; a Word2Vec header, being untrusted, never sizes
+    it.  Without a size (standard input, a pipe) the buffer starts at one
+    chunk and grows by doubling.
     """
     if input_bytes <= 0:
         return len(chunk)
     line_bytes = sum(len(line.encode("utf-8")) for _, line in chunk) / len(chunk)
-    estimate = int(input_bytes / line_bytes * (1 + _ESTIMATE_MARGIN))
-    if header is not None:
-        estimate = min(estimate, header[0])
-    return max(estimate, len(chunk))
+    return max(int(input_bytes / line_bytes * (1 + _ESTIMATE_MARGIN)), len(chunk))
 
 
 def parse_embeddings(
@@ -352,7 +342,7 @@ def _parse(
                 keep.append(row)
         start = len(words) - len(keep)
         if vectors is None:
-            rows = _buffer_rows(chunk, input_bytes, header)
+            rows = _buffer_rows(chunk, input_bytes)
             vectors = np.empty((rows, dim_count), dtype=np.float64)
         elif len(words) > len(vectors):
             # refcheck=False: the buffer is local and no view of it exists yet.

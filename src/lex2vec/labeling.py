@@ -100,26 +100,25 @@ class _Contributors(Sequence):
 def _given_records(contributors, counts) -> _Contributors:
     """Hits for records passed in from outside, one single-label hit each.
 
-    Reading the records back rejects a band other than ``high`` or ``low``
-    and a label the dimension does not count; the tally checks the counts.
+    Each dimension's label tally must equal its counts, which also rejects a
+    label it does not count, and each band must be ``high`` or ``low``.
     """
     given = tuple(tuple(records) for records in contributors)
     if len(given) != len(counts):
         raise ValueError("contributor records do not cover every dimension")
     words: list[tuple[str, tuple[str]]] = []
     hits = []
-    for records in given:
-        start = len(words)
-        words.extend((word, (label,)) for word, label, _ in records)
-        codes = [2 * entry + (band == "high") for entry, (*_, band) in enumerate(records, start)]
-        hits.append(np.array(codes, dtype=np.int64))
-    view = _Contributors(words, hits, counts)
-    if view != given:
-        raise ValueError("contributor records need a counted label and band 'high' or 'low'")
-    for dim_counts, records in zip(counts, given):
+    for records, dim_counts in zip(given, counts):
         if Counter(label for _, label, _ in records) != Counter(dim_counts):
             raise ValueError("contributor records disagree with label counts")
-    return view
+        codes = []
+        for word, label, band in records:
+            if band not in _BANDS:
+                raise ValueError(f"contributor band must be 'high' or 'low', not {band!r}")
+            codes.append(2 * len(words) + (band == "high"))
+            words.append((word, (label,)))
+        hits.append(np.array(codes, dtype=np.int64))
+    return _Contributors(words, hits, counts)
 
 
 @dataclass(frozen=True)

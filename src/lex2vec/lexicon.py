@@ -15,6 +15,7 @@ Entries and query words are lowercased; queries are always matched literally
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -31,51 +32,20 @@ from .errors import (
 # keys are single characters, so None can never collide.
 _END = None
 
-
-class _PrefixTrie:
-    """Character trie over prefix patterns.
-
-    A query walks the trie once, collecting the labels of every stored
-    prefix it passes through, so lookup cost is proportional to the query
-    length plus the number of matches, not to the lexicon size.
-    """
-
-    __slots__ = ("_root",)
-
-    def __init__(self, entries: Iterable[tuple[str, frozenset[str]]]):
-        root: dict = {}
-        for prefix, labels in entries:
-            node = root
-            for ch in prefix:
-                node = node.setdefault(ch, {})
-            node[_END] = labels | node.get(_END, frozenset())
-        self._root = root
-
-    def matches(self, word: str) -> set[str]:
-        found: set[str] = set()
-        node = self._root
-        for ch in word:
-            node = node.get(ch)
-            if node is None:
-                break
-            labels = node.get(_END)
-            if labels:
-                found |= labels
-        return found
+_TAB_OR_NEWLINE = re.compile("[\t\n\r]")
 
 
-def _check_entry(name: str, labels: frozenset[str], kind: str) -> None:
-    if not name:
-        raise ValueError(f"empty {kind} entry")
-    if any(ch in "\t\n\r" for ch in name):
-        raise ValueError(f"{kind} {name!r} contains a tab or newline")
-    if not labels:
-        raise ValueError(f"{kind} {name!r} has an empty label set")
-    for label in labels:
-        if not label:
-            raise ValueError(f"{kind} {name!r} carries an empty label")
-        if any(ch in "\t\n\r" for ch in label):
-            raise ValueError(f"label {label!r} contains a tab or newline")
+def _prefix_trie(prefixes: Iterable[tuple[str, frozenset[str]]]) -> dict:
+    """A character trie over unique prefixes: each node maps a character to
+    its child, and ``_END`` to the labels of the prefix ending there.  A walk
+    costs the query's length plus its matches, whatever the lexicon's size."""
+    root: dict = {}
+    for prefix, labels in prefixes:
+        node = root
+        for ch in prefix:
+            node = node.setdefault(ch, {})
+        node[_END] = labels
+    return root
 
 
 def _merged(
@@ -89,7 +59,17 @@ def _merged(
         key = name.lower()
         merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
     for name, labels in merged.items():
-        _check_entry(name, labels, kind)
+        if not name:
+            raise ValueError(f"empty {kind} entry")
+        if _TAB_OR_NEWLINE.search(name):
+            raise ValueError(f"{kind} {name!r} contains a tab or newline")
+        if not labels:
+            raise ValueError(f"{kind} {name!r} has an empty label set")
+        for label in labels:
+            if not label:
+                raise ValueError(f"{kind} {name!r} carries an empty label")
+            if _TAB_OR_NEWLINE.search(label):
+                raise ValueError(f"label {label!r} contains a tab or newline")
     return merged
 
 
@@ -109,7 +89,7 @@ class Lexicon:
     prefix_entries: tuple[tuple[str, frozenset[str]], ...] = ()
     # The dict behind the exact_entries view; lookups skip the view's overhead.
     _exact: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _trie: _PrefixTrie = field(init=False, repr=False, compare=False)
+    _trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact = _merged(dict(self.exact_entries).items(), "word")
@@ -117,14 +97,21 @@ class Lexicon:
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "exact_entries", MappingProxyType(exact))
         object.__setattr__(self, "prefix_entries", prefixes)
-        object.__setattr__(self, "_trie", _PrefixTrie(prefixes))
+        object.__setattr__(self, "_trie", _prefix_trie(prefixes))
 
     def lookup(self, word: str) -> set[str]:
         """All labels matching ``word``: its exact entry plus every stored
         prefix of it.  Returns an empty set on a miss."""
         key = word.lower()
         found = set(self._exact.get(key, ()))
-        found |= self._trie.matches(key)
+        node = self._trie
+        for ch in key:
+            node = node.get(ch)
+            if node is None:
+                break
+            labels = node.get(_END)
+            if labels:
+                found |= labels
         return found
 
     @property

@@ -19,6 +19,8 @@ import lex2vec
 from lex2vec import cli
 from lex2vec.cli import main
 
+from helpers import brute_force_label_counts
+
 EMBEDDINGS = "good 1.0 0.0\nbad 0.0 0.5\ntable 0.5 1.0\n"
 PLAIN_LEXICON = "good\tposemo\nbad\tnegemo\n"
 NRC_LEXICON = "good\tposemo\t1\nbad\tnegemo\t1\nbad\tjoy\t0\n"
@@ -362,7 +364,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_huge_header_vocab_size_allocates_nothing(self, workdir, capsys, monkeypatch, source):
-        # The header is untrusted: it may lower the buffer estimate but never raise it.
+        # The header is untrusted and only checked: the header never sizes the buffer.
         text = "999999999999 2\n" + EMBEDDINGS
         if source == "path":
             (workdir / "huge.txt").write_text(text, encoding="utf-8")
@@ -392,12 +394,26 @@ class TestFailureModes:
     @pytest.mark.parametrize("grid", ["0.8,0.8", "0.8,0.75,0.80"])
     def test_sweep_rejects_a_repeated_theta(self, workdir, capsys, grid):
         # Two rows of one theta and resource could not be told apart.
-        code, out, err = run(capsys, [
-            "sweep", "-e", str(workdir / "emb.txt"),
-            "-l", f"{workdir / 'lex.tsv'}:plain", "--theta-grid", grid,
-        ])
-        assert (code, out) == (1, "")
-        assert err == "lex2vec: label error: the theta grid repeats 0.8\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "-e", str(workdir / "emb.txt"),
+                "-l", f"{workdir / 'lex.tsv'}:plain", "--theta-grid", grid,
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "lex2vec sweep: error: argument --theta-grid: the theta grid repeats 0.8\n"
+        )
+
+    def test_repeated_theta_fails_before_any_input_is_read(self, workdir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "-e", str(workdir / "missing.txt"),
+                "-l", f"{workdir / 'missing.tsv'}:plain", "--theta-grid", "0.8,0.8",
+            ])
+        assert excinfo.value.code == 2
+        assert "the theta grid repeats 0.8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
     @pytest.mark.parametrize(
@@ -508,8 +524,9 @@ class TestFailureModes:
 _NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|inf|infinity|nan)", re.I | re.A)
 
 
-def _first_faulty_embedding_line(data: bytes) -> tuple[bool, int | None]:
-    """Whether an embedding file fails, and the line named, by per-line rules."""
+def _first_faulty_embedding_line(data: bytes) -> tuple[bool, int | None, dict | None]:
+    """Whether an embedding file fails, and the line named, by per-line rules;
+    for a file that parses, its values per word, the first occurrence winning."""
     lines = []  # (number, tokens, or None for invalid UTF-8) of non-blank lines
     for number, raw in enumerate(data.split(b"\n"), start=1):
         if number == 1:
@@ -522,28 +539,30 @@ def _first_faulty_embedding_line(data: bytes) -> tuple[bool, int | None]:
         if text.strip():
             lines.append((number, text.split()))
     if not lines:
-        return True, None
+        return True, None, None
     number, tokens = lines[0]
     header = None
     if tokens and len(tokens) == 2 and all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens):
         header, lines = (number, int(tokens[0]), int(tokens[1])), lines[1:]
         if not lines:
-            return True, None
+            return True, None, None
     number, tokens = lines[0]
     if tokens is None or len(tokens) < 2 or (header and len(tokens) - 1 != header[2]):
-        return True, number
+        return True, number, None
     dims = len(tokens) - 1
+    rows: dict[str, list[float]] = {}
     for number, tokens in lines:
         if tokens is None or len(tokens) != dims + 1:
-            return True, number
+            return True, number, None
         values = tokens[1:]
         if not all(_NUMBER.fullmatch(v) for v in values):
-            return True, number
+            return True, number, None
         if not all(math.isfinite(float(v)) for v in values):
-            return True, number
+            return True, number, None
+        rows.setdefault(tokens[0], [float(v) for v in values])
     if header and len(lines) != header[1]:
-        return True, header[0]
-    return False, None
+        return True, header[0], None
+    return False, None, rows
 
 
 def _first_faulty_nrc_line(data: bytes) -> tuple[bool, int | None]:
@@ -609,8 +628,10 @@ class TestRobustness:
         by_path = run_bytes([*command, "-e", str(tmp_path / "emb.txt"), *lexicon])
         on_stdin = run_bytes([*command, "-e", "-", *lexicon], stdin=data)
         assert by_path == on_stdin
-        fails, line = _first_faulty_embedding_line(data)
+        fails, line, rows = _first_faulty_embedding_line(data)
         self.check_outcome(by_path, "parse", fails, line)
+        if not fails and command[0] == "label":
+            assert self.label_counts(by_path[1], command) == self.oracle_counts(rows)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -622,6 +643,31 @@ class TestRobustness:
                             "-l", f"{tmp_path / 'nrc.txt'}:nrc"])
         fails, line = _first_faulty_nrc_line(data)
         self.check_outcome(result, "lexicon", fails, line)
+
+    @staticmethod
+    def label_counts(out: bytes, command: list[str]) -> list[dict[str, int]]:
+        """Each dimension's label counts, as ``label`` printed them."""
+        if "--json" in command:
+            return [{entry["label"]: entry["count"] for entry in dim["labels"]}
+                    for dim in json.loads(out)["dimensions"]]
+        pairs = [line.split("\t")[2] for line in out.decode().splitlines()]
+        return [{label: int(count) for label, count in (p.split(":") for p in field.split(",") if p)}
+                for field in pairs]
+
+    @staticmethod
+    def oracle_counts(rows: dict[str, list[float]]) -> list[dict[str, int]]:
+        """The brute-force counts at the default theta, over a table parsed and
+        min-max scaled per dimension here, with NRC entries parsed here too."""
+        exact: dict[str, set[str]] = {}
+        for line in VALID_NRC.decode().splitlines():
+            word, label, flag = line.split("\t")
+            if flag == "1":
+                exact.setdefault(word, set()).add(label)
+        columns = []
+        for column in zip(*rows.values()):
+            lo, hi = min(column), max(column)
+            columns.append([0.5 if hi == lo else (x - lo) / (hi - lo) for x in column])
+        return brute_force_label_counts(list(rows), list(zip(*columns)), exact, (), cli.DEFAULT_THETA)
 
     @staticmethod
     def check_outcome(result, stage: str, fails: bool, line: int | None) -> None:

@@ -155,13 +155,11 @@ class TestLabelingValidation:
             DimensionLabeling(({"a": 0},), Theta(0.75), "demo")
 
     def test_contributors_must_match_counts(self):
-        with pytest.raises(ValueError):
-            DimensionLabeling(
-                ({"a": 2},),
-                Theta(0.75),
-                "demo",
-                ((Contribution("w", "a", "high"),),),
-            )
+        one_a = Contribution("w", "a", "high")
+        # Too few records for a count, and a record of a label not counted.
+        for counts, records in [({"a": 2}, (one_a,)), ({"a": 1}, (one_a, one_a._replace(label="b")))]:
+            with pytest.raises(ValueError):
+                DimensionLabeling((counts,), Theta(0.75), "demo", (records,))
 
     def test_contributors_must_cover_dimensions(self):
         with pytest.raises(ValueError):
