@@ -27,7 +27,7 @@ from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
 from .metrics import AVG_MODES, SweepReport, coverage, sweep
 from .report import (
     dumps_document,
-    labeling_to_document,
+    render_labeling_json,
     render_labeling_tsv,
     render_sweep_tsv,
     report_to_document,
@@ -196,7 +196,7 @@ def _label(
 
 def _render_labeling(args: argparse.Namespace, labeling: DimensionLabeling) -> str:
     if args.json_output:
-        return dumps_document(labeling_to_document(labeling))
+        return render_labeling_json(labeling)
     return render_labeling_tsv(labeling)
 
 

@@ -133,7 +133,8 @@ def detect_format(first_line: str) -> EmbeddingFormat:
     header; anything else is treated as a GloVe data line.
     """
     tokens = first_line.split()
-    if len(tokens) == 2 and all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens):
+    # Digits with a nonzero one; int() would refuse more than 4,300 digits.
+    if len(tokens) == 2 and all(t.isascii() and t.isdigit() and t.strip("0") for t in tokens):
         return EmbeddingFormat.WORD2VEC_TEXT
     return EmbeddingFormat.GLOVE_TEXT
 
@@ -167,12 +168,13 @@ def _check_utf8(number: int, line: str, error: type[LineError] = MalformedLineEr
         raise error(f"invalid UTF-8 ({reason})", number)
 
 
-def _parse_header(number: int, line: str) -> tuple[int, int]:
-    # The header grammar is detect_format's.
+def _parse_header(number: int, line: str) -> tuple[str, str]:
+    # The header grammar is detect_format's.  The counts stay text without
+    # leading zeros, so a count of any length compares with str() of a count.
     if detect_format(line) is not EmbeddingFormat.WORD2VEC_TEXT:
         raise MalformedLineError("expected Word2Vec header '<vocab_size> <dim_count>'", number)
-    vocab_size, dim_count = map(int, line.split())
-    return vocab_size, dim_count
+    vocab_size, dim_count = line.split()
+    return vocab_size.lstrip("0"), dim_count.lstrip("0")
 
 
 # Content lines parsed per np.loadtxt call: large enough that the per-call cost
@@ -305,7 +307,7 @@ def _parse(
     if fmt is EmbeddingFormat.AUTO:
         fmt = detect_format(first_line)
 
-    header: tuple[int, int] | None = None
+    header: tuple[str, str] | None = None
     header_number = first_number
     if fmt is EmbeddingFormat.WORD2VEC_TEXT:
         header = _parse_header(first_number, first_line)
@@ -318,7 +320,7 @@ def _parse(
     dim_count = len(first_line.split()) - 1
     if dim_count < 1:
         raise MalformedLineError("expected a word followed by at least one value", first_number)
-    if header is not None and dim_count != header[1]:
+    if header is not None and str(dim_count) != header[1]:
         raise DimensionMismatchError(
             f"header declares {header[1]} dimensions but data has {dim_count}", first_number
         )
@@ -350,7 +352,7 @@ def _parse(
         vectors[start : len(words)] = block if len(keep) == len(chunk) else block[keep]
         del chunk, chunk_words, block  # free before the next chunk is read
 
-    if header is not None and data_lines != header[0]:
+    if header is not None and str(data_lines) != header[0]:
         raise DimensionMismatchError(
             f"header declares {header[0]} words but {data_lines} data lines follow",
             header_number,

@@ -171,10 +171,10 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
     exact: dict[str, set[str]] = {}
     prefixes: list[tuple[str, set[str]]] = []
 
-    for number, fields in rows:
-        if not _is_delimiter(fields):
-            raise MissingDelimiterError("expected '%' opening the category section", number)
-        break
+    # A file without content lines has no line to name.
+    number, fields = next(rows, (None, None))
+    if fields is None or not _is_delimiter(fields):
+        raise MissingDelimiterError("expected '%' opening the category section", number)
 
     for number, fields in rows:
         if _is_delimiter(fields):
@@ -189,9 +189,7 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
         categories[cat_id] = cat_name
     else:
         # Names the last line of the file, trailing blank lines included.
-        raise MissingDelimiterError(
-            "category section was never closed with '%'", len(lines) or None
-        )
+        raise MissingDelimiterError("category section was never closed with '%'", len(lines))
 
     for number, fields in rows:
         fields = [f for f in fields if f]

@@ -9,7 +9,7 @@ identically.
 from __future__ import annotations
 
 import dataclasses
-import math
+import json
 from json.encoder import encode_basestring
 from typing import Any, Mapping
 
@@ -18,7 +18,6 @@ from .metrics import SweepReport, SweepRow, _check_avg_mode, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
-_DUMPS_BATCH = 8192  # written parts per joined piece
 
 
 def _name(ranked: list[tuple[str, int]]) -> str:
@@ -62,32 +61,62 @@ def render_sweep_tsv(report: SweepReport, avg_mode: str = "all") -> str:
     return "\n".join(lines) + "\n"
 
 
-def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:
-    """Structured form of a labeling, including both average modes."""
+def _number(value: float | None) -> str:
+    return "null" if value is None else float.__repr__(value)
+
+
+def _array(items: str) -> str:
+    # A labels or contributors array; each of its items starts a new line.
+    return f"[{items}\n      ]" if items else "[]"
+
+
+def render_labeling_json(labeling: DimensionLabeling) -> str:
+    """The labeling document as JSON text, written in one pass.
+
+    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
+    allow_nan=False) + "\\n"`` for the document :func:`labeling_to_document`
+    returns, and this is the one statement of its fixed layout: the metric
+    fields of :func:`coverage`, then per dimension its index, name, ranked
+    labels and, when retained, its contributor records.  Strings are escaped
+    by ``encode_basestring``, as ``json.dumps`` escapes them.
+    """
+    quote = encode_basestring
     row = coverage(labeling)
-    document: dict[str, Any] = {
-        "theta": row.theta,
-        "resource": row.resource,
-        "dim_count": labeling.dim_count,
-        "unnamed_ratio": row.unnamed_ratio,
-        "avg_labels_all": row.avg_labels_all,
-        "avg_labels_named": row.avg_labels_named,
-        "dimensions": [],
-    }
+    parts = [
+        f'{{\n  "theta": {_number(row.theta)},\n  "resource": {quote(row.resource)},'
+        f'\n  "dim_count": {labeling.dim_count},'
+        f'\n  "unnamed_ratio": {_number(row.unnamed_ratio)},'
+        f'\n  "avg_labels_all": {_number(row.avg_labels_all)},'
+        f'\n  "avg_labels_named": {_number(row.avg_labels_named)},\n  "dimensions": ['
+    ]
+    contributors = labeling.contributors
     for index, counts in enumerate(labeling.per_dimension):
         ranked = ordered_labels(counts)
-        entry: dict[str, Any] = {
-            "index": index,
-            "name": _name(ranked),
-            "labels": [{"label": label, "count": count} for label, count in ranked],
-        }
-        if labeling.contributors is not None:
-            entry["contributors"] = [
-                {"word": rec.word, "label": rec.label, "band": rec.band}
-                for rec in labeling.contributors[index]
-            ]
-        document["dimensions"].append(entry)
-    return document
+        labels = ",".join(
+            f'\n        {{\n          "label": {quote(label)},\n          "count": {count}'
+            "\n        }"
+            for label, count in ranked
+        )
+        entry = (
+            f'{"," if index else ""}\n    {{\n      "index": {index},'
+            f'\n      "name": {quote(_name(ranked))},\n      "labels": {_array(labels)}'
+        )
+        if contributors is not None:
+            records = ",".join(
+                f'\n        {{\n          "word": {quote(word)},\n          "label": {quote(label)},'
+                f'\n          "band": {quote(band)}\n        }}'
+                for word, label, band in contributors[index]
+            )
+            entry += f',\n      "contributors": {_array(records)}'
+        parts.append(entry + "\n    }")
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
+
+
+def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:
+    """Structured form of a labeling, including both average modes: the
+    parsed text of :func:`render_labeling_json`."""
+    return json.loads(render_labeling_json(labeling))
 
 
 def labeling_from_document(document: Mapping[str, Any]) -> DimensionLabeling:
@@ -118,83 +147,24 @@ def report_from_document(document: Mapping[str, Any]) -> SweepReport:
     return SweepReport(tuple(SweepRow(**row) for row in document["rows"]))
 
 
-def _float_text(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-# Exact scalar types and their JSON text; subclasses take the isinstance path.
-_SCALAR_TEXT = {
-    str: encode_basestring,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _subclass_text(value: Any) -> str:
-    """JSON text of a ``str``, ``int`` or ``float`` subclass instance."""
-    for kind in (str, int, float):
-        if isinstance(value, kind):
-            return _SCALAR_TEXT[kind](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _check_keys(value: Any) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _check_keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_keys(item)
 
 
 def dumps_document(document: Mapping[str, Any]) -> str:
     """Serialize a document to JSON text (stable layout, trailing newline).
 
-    The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
+    The text is ``json.dumps(document, indent=2, ensure_ascii=False,
     allow_nan=False) + "\\n"``.  NaN and infinities raise ``ValueError``; a
-    value of another type, or a key that is not a ``str``, raises
-    ``TypeError``.  Documents are trees, so cycles are not checked.
-
-    With ``indent`` set, the stdlib encoder runs in pure Python, passing each
-    value through a chain of nested generators.  Here a scalar costs one
-    dictionary lookup on its exact type and one call to its text function
-    (the stdlib's C escaper for strings), and the parts are joined every
-    ``_DUMPS_BATCH`` so a contributor document never holds millions of small
-    strings at once.
+    value of another type, or a key that is not a ``str`` (which ``json``
+    would convert), raises ``TypeError``.
     """
-    batch_size, scalar_text = _DUMPS_BATCH, _SCALAR_TEXT.get
-    pieces: list[str] = []
-    batch: list[str] = []
-    append = batch.append
-
-    def write(value: Any, pad: str) -> None:
-        # pad is a newline followed by the indentation of value.
-        if isinstance(value, dict):
-            keyed, brackets, items = True, "{}", value.items()
-        elif isinstance(value, (list, tuple)):
-            keyed, brackets, items = False, "[]", enumerate(value)
-        else:
-            append((scalar_text(type(value)) or _subclass_text)(value))
-            return
-        if not value:
-            append(brackets)
-            return
-        inner = pad + "  "
-        separator = brackets[0] + inner
-        for key, item in items:
-            head = separator
-            if keyed:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                head += encode_basestring(key) + ": "
-            text = scalar_text(type(item))
-            if text is not None:
-                append(head + text(item))
-            else:
-                append(head)
-                write(item, inner)
-            separator = "," + inner
-            if len(batch) >= batch_size:
-                pieces.append("".join(batch))
-                batch.clear()
-        append(pad + brackets[1])
-
-    write(document, "\n")
-    append("\n")
-    pieces.append("".join(batch))
-    return "".join(pieces)
+    _check_keys(document)
+    return json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"

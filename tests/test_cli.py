@@ -381,6 +381,30 @@ class TestFailureModes:
             " but 3 data lines follow\n"
         )
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("1" * 5000 + " 2", f"line 1: header declares {'1' * 5000} words but 3 data lines follow"),
+            ("3 " + "1" * 5000, f"line 2: header declares {'1' * 5000} dimensions but data has 2"),
+        ],
+        ids=["vocab-size", "dim-count"],
+    )
+    def test_header_count_of_any_length_names_its_line(
+        self, workdir, capsys, monkeypatch, source, header, message
+    ):
+        text = f"{header}\n{EMBEDDINGS}"
+        if source == "path":
+            (workdir / "huge.txt").write_text(text, encoding="utf-8")
+            embeddings = str(workdir / "huge.txt")
+        else:
+            monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
+            embeddings = "-"
+        code, out, err = run(capsys, [
+            "label", "-e", embeddings, "-l", f"{workdir / 'lex.tsv'}:plain",
+        ])
+        assert (code, out, err) == (1, "", f"lex2vec: parse error: {message}\n")
+
     def test_sweep_rejects_lexicons_sharing_a_resource_name(self, workdir, capsys):
         other = workdir / "other.tsv"
         other.write_text("table\tjoy\n", encoding="utf-8")
@@ -456,6 +480,18 @@ class TestFailureModes:
             embeddings = "-"
         code, out, err = run(capsys, ["label", "-e", embeddings, "-l", str(workdir / lexicon)])
         assert (code, out, err) == (1, "", f"lex2vec: {message}\n")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff"], ids=["empty", "blank", "bom"])
+    def test_liwc_without_content_names_the_opening_delimiter(self, workdir, capsys, text):
+        message = "expected '%' opening the category section"
+        with pytest.raises(lex2vec.MissingDelimiterError) as excinfo:
+            lex2vec.load_liwc(io.StringIO(text))
+        assert (str(excinfo.value), excinfo.value.line_number) == (message, None)
+        (workdir / "empty.dic").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, [
+            "label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'empty.dic'}:liwc",
+        ])
+        assert (code, out, err) == (1, "", f"lex2vec: lexicon error: {message}\n")
 
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"

@@ -30,6 +30,7 @@ from lex2vec.errors import LineError
 
 GLOVE_TWO_LINES = "good 1.0 0.0\nbad -1.0 0.5\n"
 W2V_TWO_LINES = "2 2\ngood 1.0 0.0\nbad -1.0 0.5\n"
+HUGE = "1" * 5000  # more digits than int() converts
 
 
 class TestDetectFormat:
@@ -47,6 +48,12 @@ class TestDetectFormat:
 
     def test_three_tokens_is_glove(self):
         assert detect_format("1 2 3") is EmbeddingFormat.GLOVE_TEXT
+
+    def test_counts_of_any_length(self):
+        # int() refuses more than 4,300 digits; the header grammar needs none.
+        assert detect_format("1" * 5000 + " 2") is EmbeddingFormat.WORD2VEC_TEXT
+        assert detect_format("0" * 5000 + " 2") is EmbeddingFormat.GLOVE_TEXT
+        assert detect_format("2 00" + "0" * 5000 + "7") is EmbeddingFormat.WORD2VEC_TEXT
 
 
 class TestParse:
@@ -140,6 +147,34 @@ class TestParse:
             parse_embeddings(io.StringIO("5 2\ngood 1.0 0.0\nbad -1.0 0.5\n"))
         assert excinfo.value.line_number == 1
         assert "5 words" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "header, line_number, message",
+        [
+            (HUGE + " 2", 1, f"header declares {HUGE} words but 2 data lines follow"),
+            ("2 " + HUGE, 2, f"header declares {HUGE} dimensions but data has 2"),
+            ("0002 002", None, None),
+        ],
+        ids=["huge-vocab-size", "huge-dim-count", "leading-zeros"],
+    )
+    @pytest.mark.parametrize("source", ["path", "stream"])
+    def test_header_counts_of_any_length(self, tmp_path, source, header, line_number, message):
+        text = f"{header}\ngood 1.0 0.0\nbad -1.0 0.5\n"
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+
+        def parse():
+            if source == "path":
+                return read_embeddings(path)
+            return parse_embeddings(io.StringIO(text))
+
+        if message is None:
+            assert parse().vocabulary == ("good", "bad")
+            return
+        with pytest.raises(DimensionMismatchError) as excinfo:
+            parse()
+        assert excinfo.value.line_number == line_number
+        assert str(excinfo.value) == f"line {line_number}: {message}"
 
     def test_header_vocab_size_counts_duplicates(self):
         table = parse_embeddings(io.StringIO("3 1\na 1.0\nb 2.0\na 3.0\n"))

@@ -125,7 +125,7 @@ class TestLoadLiwc:
 
     @pytest.mark.parametrize(
         "text, line_number",
-        [("%\n1\tposemo\n", 2), ("%\n1\tposemo\n\n  \n\t\n", 5), ("", None), ("\n\n", 2)],
+        [("%\n1\tposemo\n", 2), ("%\n1\tposemo\n\n  \n\t\n", 5)],
     )
     def test_unclosed_section_names_last_raw_line(self, text, line_number):
         with pytest.raises(MissingDelimiterError) as excinfo:

@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import enum
 import json
-from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lex2vec import (
     DimensionLabeling,
+    Lexicon,
+    NormalizedEmbeddingTable,
     SweepReport,
     SweepRow,
     Theta,
+    cap_labels,
     coverage,
     label_dimensions,
 )
@@ -23,11 +25,14 @@ from lex2vec.report import (
     format_percent,
     labeling_from_document,
     labeling_to_document,
+    render_labeling_json,
     render_labeling_tsv,
     render_sweep_tsv,
     report_from_document,
     report_to_document,
 )
+
+from helpers import VALUE_PALETTE, brute_force_labeling
 
 
 class TestDimensionName:
@@ -173,13 +178,6 @@ class TestReportJson:
             report_to_document(report)
         )
 
-    def test_dumps_in_batches_equals_json_dumps(self, toy_table, toy_lexicon, monkeypatch):
-        monkeypatch.setattr("lex2vec.report._DUMPS_BATCH", 3)
-        labeling = label_dimensions(toy_table, toy_lexicon, 0.75, keep_contributors=True)
-        document = labeling_to_document(labeling)
-        expected = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-        assert dumps_document(document) == expected
-
     def test_dumps_rejects_nan(self):
         report = SweepReport((SweepRow(0.75, "liwc", float("nan"), 1.0, None),))
         with pytest.raises(ValueError):
@@ -216,11 +214,6 @@ class TestDumpsDocument:
     def test_equals_json_dumps(self, document):
         assert dumps_document(document) == stdlib_dumps(document)
 
-    @given(document=json_values, batch=st.integers(min_value=1, max_value=4))
-    def test_any_batch_size_equals_json_dumps(self, document, batch):
-        with mock.patch("lex2vec.report._DUMPS_BATCH", batch):
-            assert dumps_document(document) == stdlib_dumps(document)
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_raises_value_error(self, value):
         with pytest.raises(ValueError):
@@ -245,3 +238,75 @@ class TestDumpsDocument:
 
         document = {"level": Level.HIGH, "words": [Word('a"b')], "ratio": Ratio(0.5)}
         assert dumps_document(document) == stdlib_dumps(document)
+
+
+# Characters json.dumps escapes or keeps literally; whitespace cannot occur
+# in a vocabulary word, and a tab, newline or carriage return not in a label.
+ESCAPED = '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028é\U0001F600"
+word_text = st.text(st.sampled_from([ch for ch in ESCAPED if not ch.isspace()]), min_size=1)
+label_text = st.text(st.sampled_from([ch for ch in ESCAPED if ch not in "\t\n\r"]), min_size=1)
+
+
+@st.composite
+def labeling_cases(draw):
+    """A random labeling and the document json.dumps should write for it,
+    built from the brute-force oracle with this test's own ranking and
+    coverage arithmetic."""
+    words = draw(st.lists(word_text, min_size=1, max_size=6, unique=True))
+    dims = draw(st.integers(min_value=1, max_value=4))
+    matrix = draw(st.lists(
+        st.lists(st.sampled_from(VALUE_PALETTE), min_size=dims, max_size=dims),
+        min_size=len(words), max_size=len(words),
+    ))
+    labels = st.frozensets(label_text, min_size=1, max_size=3)
+    exact = draw(st.dictionaries(st.sampled_from(words), labels, max_size=len(words)))
+    prefixes = tuple(draw(st.dictionaries(word_text, labels, max_size=2)).items())
+    theta = draw(st.sampled_from([0.6, 0.75, 0.9, 1.0]) | st.floats(0.5, 1.0, exclude_min=True))
+    resource = draw(label_text)
+    keep = draw(st.booleans())
+    limit = draw(st.none() | st.integers(min_value=1, max_value=3))
+
+    table = NormalizedEmbeddingTable(tuple(words), matrix)
+    labeling = label_dimensions(
+        table, Lexicon(resource, exact, prefixes), theta, keep_contributors=keep
+    )
+    if limit is not None:
+        labeling = cap_labels(labeling, limit)
+
+    counts, records = brute_force_labeling(words, matrix, exact, prefixes, theta)
+    dimensions = []
+    for index, dim_counts in enumerate(counts):
+        ranked = sorted(dim_counts.items(), key=lambda item: (-item[1], item[0]))[:limit]
+        entry = {
+            "index": index,
+            "name": "+".join(label for label, _ in ranked) or "UNNAMED",
+            "labels": [{"label": label, "count": count} for label, count in ranked],
+        }
+        if keep:
+            kept = {label for label, _ in ranked}
+            entry["contributors"] = [
+                {"word": word, "label": label, "band": band}
+                for word, label, band in records[index] if label in kept
+            ]
+        dimensions.append(entry)
+    mass = sum(item["count"] for entry in dimensions for item in entry["labels"])
+    named = sum(1 for entry in dimensions if entry["labels"])
+    expected = {
+        "theta": theta,
+        "resource": resource,
+        "dim_count": dims,
+        "unnamed_ratio": (dims - named) / dims,
+        "avg_labels_all": mass / dims,
+        "avg_labels_named": mass / named if named else None,
+        "dimensions": dimensions,
+    }
+    return labeling, expected
+
+
+class TestLabelingWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labeling_cases())
+    def test_writes_json_dumps_of_the_oracle_document(self, case):
+        labeling, expected = case
+        assert render_labeling_json(labeling) == stdlib_dumps(expected)
+        assert labeling_from_document(labeling_to_document(labeling)) == labeling
