@@ -18,6 +18,7 @@ from .embeddings import (
     _SCOPE_AXES,
     EmbeddingFormat,
     NormalizedEmbeddingTable,
+    _parse_numbers,
     parse_embeddings,
     read_embeddings,
 )
@@ -37,9 +38,21 @@ DEFAULT_THETA = 0.75
 DEFAULT_THETA_GRID = (0.81, 0.79, 0.77, 0.75)
 
 
+def _number_arg(text: str) -> float:
+    """One number in the grammar of embedding file values, not ``float()``'s."""
+    tokens = text.split()
+    try:
+        values = _parse_numbers(tokens, ndmin=1) if len(tokens) == 1 else ()
+    except ValueError:
+        values = ()
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return float(values[0])
+
+
 def _theta_arg(text: str) -> float:
     try:
-        return Theta(float(text)).value
+        return Theta(_number_arg(text)).value
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -71,10 +84,9 @@ def _filter_arg(text: str) -> int | None:
     kind, sep, raw_limit = text.partition(":")
     if not sep or kind not in ("cap", "topk"):
         raise argparse.ArgumentTypeError("expected 'none', 'cap:LIMIT', or 'topk:K'")
-    try:
-        limit = int(raw_limit)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"limit {raw_limit!r} is not an integer") from None
+    if not (raw_limit.isascii() and raw_limit.isdigit()):  # int() takes '+1_0' and '٣'
+        raise argparse.ArgumentTypeError(f"limit {raw_limit!r} is not an integer")
+    limit = int(raw_limit)
     if limit < 1:
         raise argparse.ArgumentTypeError("filter limit must be >= 1")
     return limit

@@ -170,6 +170,13 @@ class DimensionLabeling:
         return len(self.per_dimension)
 
 
+def _check_normalized(table: object) -> None:
+    # The bands assume values in [0, 1], which only a normalized table promises.
+    if not isinstance(table, NormalizedEmbeddingTable):
+        name = type(table).__name__
+        raise TypeError(f"expected a NormalizedEmbeddingTable, not {name}; call normalize() first")
+
+
 def label_dimensions(
     table: NormalizedEmbeddingTable,
     lexicon: Lexicon,
@@ -184,7 +191,8 @@ def label_dimensions(
     either cutoff never count.
 
     Args:
-        table: Normalized embeddings; all values in [0, 1].
+        table: Normalized embeddings; all values in [0, 1].  Any other
+            table raises ``TypeError``.
         lexicon: Source of word labels.
         theta: Band threshold, 0.5 < theta <= 1.0.
         keep_contributors: Retain the band hits that per-dimension (word,
@@ -192,6 +200,7 @@ def label_dimensions(
             to the number of hits; counts and all metrics are identical
             either way.
     """
+    _check_normalized(table)
     theta = as_theta(theta)
     dim_count = table.dim_count
 

@@ -65,11 +65,12 @@ def _merged(
             raise ValueError(f"{kind} {name!r} contains a tab or newline")
         if not labels:
             raise ValueError(f"{kind} {name!r} has an empty label set")
-        for label in labels:
+        if "" in labels or _TAB_OR_NEWLINE.search("".join(labels)):
+            # Name the first faulty label in sorted order, whatever the hash seed.
+            label = min(label for label in labels if not label or _TAB_OR_NEWLINE.search(label))
             if not label:
                 raise ValueError(f"{kind} {name!r} carries an empty label")
-            if _TAB_OR_NEWLINE.search(label):
-                raise ValueError(f"label {label!r} contains a tab or newline")
+            raise ValueError(f"label {label!r} contains a tab or newline")
     return merged
 
 
@@ -77,11 +78,12 @@ def _merged(
 class Lexicon:
     """Immutable word-pattern to label-set mapping.
 
-    ``exact_entries`` maps whole words; ``prefix_entries`` holds (prefix,
-    labels) pairs matching any word that starts with the prefix.  Both are
-    lowercased on construction and entries that become equal are merged;
-    label sets are never empty.  ``exact_entries`` is a read-only view, so a
-    lexicon cannot change after construction.
+    ``exact_entries`` maps whole words (a mapping, or (word, labels) pairs);
+    ``prefix_entries`` holds (prefix, labels) pairs matching any word that
+    starts with the prefix.  Both are lowercased on construction, and the
+    labels of names that repeat or become equal are unioned; label sets are
+    never empty.  ``exact_entries`` is a read-only view, so a lexicon cannot
+    change after construction.
     """
 
     resource_name: str
@@ -92,7 +94,10 @@ class Lexicon:
     _trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        exact = _merged(dict(self.exact_entries).items(), "word")
+        given = entries = self.exact_entries
+        if hasattr(given, "keys"):  # a mapping, read as dict() reads one
+            entries = ((word, given[word]) for word in given.keys())
+        exact = _merged(entries, "word")
         prefixes = tuple(_merged(self.prefix_entries, "prefix").items())
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "exact_entries", MappingProxyType(exact))
@@ -135,7 +140,7 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
     Lines with flag 1 add the label to the word's set; flag 0 lines carry no
     association and are skipped.  Blank lines are ignored.
     """
-    entries: dict[str, set[str]] = {}
+    entries: list[tuple[str, tuple[str]]] = []
     for number, fields in _tab_lines(source):
         if len(fields) != 3:
             raise MalformedLexiconLineError(
@@ -149,7 +154,7 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
         if not word or not label:
             raise MalformedLexiconLineError("empty word or label", number)
         if flag == "1":
-            entries.setdefault(word, set()).add(label)
+            entries.append((word, (label,)))
     return Lexicon("nrc", entries)
 
 
@@ -168,7 +173,7 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
     lines = list(source)
     rows = _tab_lines(lines)
     categories: dict[str, str] = {}
-    exact: dict[str, set[str]] = {}
+    exact: list[tuple[str, set[str]]] = []
     prefixes: list[tuple[str, set[str]]] = []
 
     # A file without content lines has no line to name.
@@ -211,18 +216,17 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
                 raise MalformedLexiconLineError("bare '*' is not a valid pattern", number)
             prefixes.append((prefix, labels))
         else:
-            exact.setdefault(pattern, set()).update(labels)
+            exact.append((pattern, labels))
     return Lexicon("liwc", exact, tuple(prefixes))
 
 
 def load_plain(source: Iterable[str]) -> Lexicon:
     """Load a plain ``word<TAB>label`` lexicon (exact entries only)."""
-    entries: dict[str, set[str]] = {}
+    entries: list[tuple[str, tuple[str]]] = []
     for number, fields in _tab_lines(source):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise MalformedLexiconLineError("expected 'word<TAB>label'", number)
-        word, label = fields
-        entries.setdefault(word, set()).add(label)
+        entries.append((fields[0], (fields[1],)))
     return Lexicon("plain", entries)
 
 
@@ -256,14 +260,9 @@ def merge_lexicons(lexicons: Sequence[Lexicon]) -> Lexicon:
         raise ValueError("at least one lexicon is required")
     if len(lexicons) == 1:
         return lexicons[0]
-    # Lexicon unions equal prefixes itself; exact words need one key each.
-    exact: dict[str, set[str]] = {}
-    for lex in lexicons:
-        for word, labels in lex.exact_entries.items():
-            exact.setdefault(word, set()).update(labels)
-    prefixes = tuple(entry for lex in lexicons for entry in lex.prefix_entries)
-    name = "+".join(lex.resource_name for lex in lexicons)
-    return Lexicon(name, exact, prefixes)
+    exact = (entry for lex in lexicons for entry in lex.exact_entries.items())
+    prefixes = (entry for lex in lexicons for entry in lex.prefix_entries)
+    return Lexicon("+".join(lex.resource_name for lex in lexicons), exact, prefixes)
 
 
 def emit_liwc(lexicon: Lexicon) -> str:

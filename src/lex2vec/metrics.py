@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .embeddings import NormalizedEmbeddingTable
 from .errors import Lex2vecError, NoNamedDimensionsError
-from .labeling import DimensionLabeling, ThetaLike, as_theta, label_dimensions
+from .labeling import DimensionLabeling, ThetaLike, _check_normalized, as_theta, label_dimensions
 from .lexicon import Lexicon
 
 
@@ -126,12 +126,13 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every (lexicon, theta) cell and assemble a report.
 
-    Lexicons must have distinct resource names and thetas distinct values,
-    which tell the rows apart.
+    The table must be normalized.  Lexicons must have distinct resource
+    names and thetas distinct values, which tell the rows apart.
     Each cell runs a fresh labeling with contributor retention off.  Rows
     come back ordered by (resource, descending theta) regardless of the
     order of ``thetas``.
     """
+    _check_normalized(table)
     if not lexicons:
         raise ValueError("at least one lexicon is required")
     names = [lexicon.resource_name for lexicon in lexicons]

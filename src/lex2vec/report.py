@@ -40,7 +40,9 @@ def render_labeling_tsv(labeling: DimensionLabeling) -> str:
 
 
 def format_theta(theta: float) -> str:
-    return format(theta, "g")
+    """Short ``g`` text where it reads back as ``theta``, else the exact repr."""
+    text = format(theta, "g")
+    return text if float(text) == theta else repr(theta)
 
 
 def format_percent(ratio: float) -> str:

@@ -224,6 +224,16 @@ class TestSweepCommand:
         lines = out.splitlines()[1:]
         assert [line.split("\t")[1] for line in lines] == ["liwc", "liwc", "nrc", "nrc"]
 
+    def test_close_thetas_get_rows_that_tell_them_apart(self, workdir, capsys):
+        code, out, _ = run(capsys, [
+            "sweep", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain",
+            "--theta-grid", "0.7000001,0.7000002",
+        ])
+        assert code == 0
+        assert [line.split("\t")[0] for line in out.splitlines()[1:]] == [
+            "0.7000002", "0.7000001",
+        ]
+
     def test_json_report(self, workdir, capsys):
         code, out, _ = run(capsys, [
             "sweep", "-e", str(workdir / "emb.txt"),
@@ -539,6 +549,11 @@ class TestFailureModes:
             ("cap", "expected 'none', 'cap:LIMIT', or 'topk:K'"),
             ("topk:two", "limit 'two' is not an integer"),
             ("cap:0", "filter limit must be >= 1"),
+            # Limits int() would take, but only ASCII digits are a limit.
+            ("cap: +1_0", "limit ' +1_0' is not an integer"),
+            ("cap:٣", "limit '٣' is not an integer"),
+            ("topk:+2", "limit '+2' is not an integer"),
+            ("cap:2 ", "limit '2 ' is not an integer"),
         ],
     )
     def test_bad_filter_spec_message(self, workdir, capsys, spec, message):
@@ -549,6 +564,38 @@ class TestFailureModes:
             ])
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, token",
+        [
+            # Each is a number to Python's float(), but not in a file.
+            ("--theta", "0.7_5", "'0.7_5'"),
+            ("--theta", "٠.٨", "'٠.٨'"),
+            ("--theta", "０.８", "'０.８'"),
+            ("--theta", "0.8 0.9", "'0.8 0.9'"),
+            ("--theta-grid", "0.9,0.7_5", "'0.7_5'"),
+            ("--theta-grid", "٠.٨", "'٠.٨'"),
+        ],
+    )
+    def test_thetas_follow_the_file_grammar(self, workdir, capsys, flag, value, token):
+        command = "sweep" if flag == "--theta-grid" else "label"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, "-e", str(workdir / "emb.txt"),
+                "-l", f"{workdir / 'lex.tsv'}:plain", flag, value,
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and token in captured.err
+
+    @pytest.mark.parametrize("theta", ["0.75", "+0.75", "7.5e-1", ".75"])
+    def test_file_grammar_thetas_are_accepted(self, workdir, capsys, theta):
+        code, out, _ = run(capsys, [
+            "label", "-e", str(workdir / "emb.txt"),
+            "-l", f"{workdir / 'lex.tsv'}:plain", "--theta", theta,
+        ])
+        assert (code, out) == (0, EXPECTED_LABEL_TSV)
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lex2vec import (
     Contribution,
     DimensionLabeling,
+    EmbeddingTable,
     Lexicon,
     NormalizedEmbeddingTable,
     Theta,
@@ -168,6 +169,12 @@ class TestLabelingValidation:
     def test_labeling_needs_a_dimension(self):
         with pytest.raises(ValueError, match="at least one dimension"):
             DimensionLabeling((), Theta(0.75), "demo")
+
+    def test_table_must_be_normalized(self, toy_lexicon):
+        # 5.0 and -3.0 would count as high and low without this check.
+        raw = EmbeddingTable(("good", "bad"), [[5.0, -3.0], [0.2, 0.9]])
+        with pytest.raises(TypeError, match=r"normalize\(\)"):
+            label_dimensions(raw, toy_lexicon, 0.75)
 
     def test_counts_are_read_only(self, toy_table, toy_lexicon):
         labeling = label_dimensions(toy_table, toy_lexicon, 0.75)

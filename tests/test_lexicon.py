@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import lex2vec
 from lex2vec import (
     Lexicon,
     MalformedLexiconLineError,
@@ -289,6 +294,20 @@ class TestLexiconValidation:
         with pytest.raises(TypeError, match="not a str"):
             Lexicon("demo", exact, prefixes)
 
+    def test_first_faulty_label_is_named_under_any_hash_seed(self):
+        # Frozenset order follows the string hash seed; the check does not.
+        script = 'from lex2vec import Lexicon; Lexicon("x", {"w": {"a\\tb", "c\\td", "e\\nf"}})'
+        src = str(Path(lex2vec.__file__).resolve().parents[1])
+        messages = set()
+        for seed in ("0", "1", "2", "5"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+            )
+            messages.add(result.stderr.strip().splitlines()[-1])
+        assert messages == {"ValueError: label 'a\\tb' contains a tab or newline"}
+
     def test_exact_entries_are_read_only(self):
         lex = Lexicon("demo", {"good": {"posemo"}})
         with pytest.raises(TypeError):
@@ -297,6 +316,41 @@ class TestLexiconValidation:
         assert lex.entry_count == 1
         assert lex.exact_entries == {"good": frozenset({"posemo"})}
         assert lex == Lexicon("demo", {"good": {"posemo"}})
+
+
+class TestEntryPairs:
+    @pytest.mark.parametrize(
+        "exact, prefixes",
+        [
+            ([("a", {"p"}), ("a", {"q"})], ()),
+            ([("a", {"p"}), ("A", {"q"})], ()),
+            ([], [("a", {"p"}), ("a", {"q"})]),
+        ],
+        ids=["repeated-pair", "case-variant", "repeated-prefix"],
+    )
+    def test_repeated_names_union_their_labels(self, exact, prefixes):
+        assert Lexicon("x", exact, prefixes).lookup("a") == {"p", "q"}
+
+    def test_a_mapping_is_read_through_its_keys(self):
+        class KeysOnly:  # what dict() accepts as a mapping
+            def keys(self):
+                return ["Good", "bad"]
+
+            def __getitem__(self, word):
+                return {"Good": {"PosEmo"}, "bad": ("negemo",)}[word]
+
+        lex = Lexicon("demo", KeysOnly())
+        assert lex.exact_entries == {"good": {"posemo"}, "bad": {"negemo"}}
+
+    def test_loaders_and_merge_keep_first_seen_order(self):
+        nrc = load_nrc(io.StringIO("b\tjoy\t1\nA\tfear\t1\nB\tanger\t1\n"))
+        plain = load_plain(io.StringIO("a\ttrust\nc\tjoy\n"))
+        assert list(nrc.exact_entries.items()) == [
+            ("b", {"joy", "anger"}), ("a", {"fear"}),
+        ]
+        assert list(merge_lexicons([plain, nrc]).exact_entries.items()) == [
+            ("a", {"trust", "fear"}), ("c", {"joy"}), ("b", {"joy", "anger"}),
+        ]
 
 
 class TestMergeAndEmit:
@@ -399,6 +453,50 @@ class TestLookupProperties:
         exact, prefixes = entries
         lex = Lexicon("rand", exact, prefixes)
         assert lex.lookup(word) == lex.lookup(word)
+
+
+# Names that repeat and differ only in case, with their labels in any case.
+entry_pairs = st.lists(
+    st.tuples(
+        st.text(alphabet="abAB", min_size=1, max_size=3),
+        st.frozensets(st.sampled_from([*LABEL_POOL[:4], "Joy", "JOY"]), min_size=1, max_size=3),
+    ),
+    max_size=8,
+)
+
+
+def union_of_entries(word, exact, prefixes):
+    """Every entry as a lexicon of its own, and the union of their lookups."""
+    found = set()
+    for name, labels in exact:
+        found |= naive_lookup(word, {name.lower(): {l.lower() for l in labels}}, ())
+    for name, labels in prefixes:
+        found |= naive_lookup(word, {}, [(name.lower(), {l.lower() for l in labels})])
+    return found
+
+
+class TestEntryPairProperties:
+    @given(
+        exact=entry_pairs,
+        prefixes=entry_pairs,
+        form=st.sampled_from(["pairs", "mapping", "merge"]),
+        cut=st.integers(0, 8),
+        extra=st.lists(st.text(alphabet="abABx", max_size=5), max_size=4),
+    )
+    def test_every_lookup_is_the_union_of_its_entries(self, exact, prefixes, form, cut, extra):
+        """Repeated and case-variant names union their labels, whether the
+        entries come as pairs, as a mapping or through merge_lexicons."""
+        if form == "mapping":
+            exact = list(dict(exact).items())  # case variants remain
+            lex = Lexicon("rand", dict(exact), prefixes)
+        elif form == "merge":
+            parts = [(exact[:cut], prefixes[:cut]), (exact[cut:], prefixes[cut:])]
+            lex = merge_lexicons([Lexicon(f"part{i}", e, p) for i, (e, p) in enumerate(parts)])
+        else:
+            lex = Lexicon("rand", exact, prefixes)
+        names = [name for name, _ in exact + prefixes]
+        for word in names + [name + "x" for name in names] + extra:
+            assert lex.lookup(word) == union_of_entries(word, exact, prefixes)
 
 
 # Names without tab, newline or carriage return.  Those with whitespace at

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lex2vec
 from lex2vec import (
     DimensionLabeling,
+    EmbeddingTable,
     Lexicon,
     NoNamedDimensionsError,
     SweepReport,
@@ -187,6 +188,15 @@ class TestSweep:
         )
         assert result.returncode == 3, result.stderr
         assert "unnamed ratio rose" in result.stdout
+
+    def test_table_must_be_normalized_before_any_cell(self, monkeypatch):
+        def cell(*args, **kwargs):
+            raise AssertionError("a cell ran on a table that is not normalized")
+
+        monkeypatch.setattr(lex2vec.metrics, "label_dimensions", cell)
+        raw = EmbeddingTable(("good", "bad"), [[5.0, -3.0], [0.2, 0.9]])
+        with pytest.raises(TypeError, match=r"normalize\(\)"):
+            sweep(raw, [Lexicon("demo", {"good": {"posemo"}})], [0.75])
 
     def test_report_rejects_misordered_rows(self):
         rows = (

@@ -23,6 +23,7 @@ from lex2vec.report import (
     dimension_name,
     dumps_document,
     format_percent,
+    format_theta,
     labeling_from_document,
     labeling_to_document,
     render_labeling_json,
@@ -77,6 +78,18 @@ class TestSweepTsv:
         report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
         with pytest.raises(ValueError, match="mode must be 'all' or 'named', got 'bogus'"):
             render_sweep_tsv(report, avg_mode="bogus")
+
+    def test_distinct_thetas_render_as_distinct_text(self):
+        # format(theta, "g") keeps six significant digits: both would read 0.7.
+        rows = tuple(SweepRow(t, "nrc", 0.5, 1.0, 2.0) for t in (0.7000002, 0.7000001))
+        lines = render_sweep_tsv(SweepReport(rows)).splitlines()
+        assert [line.split("\t")[0] for line in lines[1:]] == ["0.7000002", "0.7000001"]
+
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
+    def test_theta_text_reads_back_as_the_same_theta(self, theta):
+        text = format_theta(theta)
+        assert float(text) == theta
+        assert text == format(theta, "g") or text == repr(theta)
 
     def test_percent_formatting(self):
         assert format_percent(0.306) == "30.6%"
