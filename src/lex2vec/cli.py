@@ -184,56 +184,30 @@ def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
     return read_embeddings(args.embeddings, fmt, _scope=args.norm_scope)
 
 
-def _apply_filter(labeling: DimensionLabeling, limit: int | None) -> DimensionLabeling:
-    return labeling if limit is None else cap_labels(labeling, limit)
-
-
-def _render_report(args: argparse.Namespace, report: SweepReport) -> str:
-    if args.json_output:
-        return dumps_document(report_to_document(report))
-    return render_sweep_tsv(report, avg_mode=args.avg_mode)
-
-
-def _label(
+def _compute(
     args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> DimensionLabeling:
-    """Name every dimension at a single theta."""
-    # Only the JSON document carries contributor records.
-    keep_contributors = args.keep_contributors and args.json_output
+) -> DimensionLabeling | SweepReport:
+    """A sweep report, or the labeling of the merged lexicons that label and metrics share."""
+    if args.command == "sweep":
+        return sweep(table, lexicons, args.theta_grid, distinct=args.distinct_labels)
+    # Only label's JSON document carries contributor records.
+    keep = args.command == "label" and args.keep_contributors and args.json_output
     labeling = label_dimensions(
-        table, merge_lexicons(lexicons), args.theta, keep_contributors=keep_contributors
+        table, merge_lexicons(lexicons), args.theta, keep_contributors=keep
     )
-    return _apply_filter(labeling, args.label_filter)
+    return labeling if args.label_filter is None else cap_labels(labeling, args.label_filter)
 
 
-def _render_labeling(args: argparse.Namespace, labeling: DimensionLabeling) -> str:
+def _render(args: argparse.Namespace, result: DimensionLabeling | SweepReport) -> str:
+    """label prints the labeling; metrics prints its coverage row as sweep prints rows."""
+    if args.command == "label":
+        return render_labeling_json(result) if args.json_output else render_labeling_tsv(result)
+    if args.command == "metrics":
+        result = SweepReport((coverage(result, args.distinct_labels),))
     if args.json_output:
-        return render_labeling_json(labeling)
-    return render_labeling_tsv(labeling)
+        return dumps_document(report_to_document(result))
+    return render_sweep_tsv(result, avg_mode=args.avg_mode)
 
-
-def _sweep(
-    args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> SweepReport:
-    """Evaluate the theta grid per resource."""
-    return sweep(table, lexicons, args.theta_grid, distinct=args.distinct_labels)
-
-
-def _metrics(
-    args: argparse.Namespace, table: NormalizedEmbeddingTable, lexicons: list[Lexicon]
-) -> SweepReport:
-    """One report row for the merged lexicons at a single theta."""
-    labeling = label_dimensions(table, merge_lexicons(lexicons), args.theta)
-    row = coverage(_apply_filter(labeling, args.label_filter), args.distinct_labels)
-    return SweepReport((row,))
-
-
-# Each command computes its result from the table and lexicons, then renders it.
-_COMMANDS = {
-    "label": (_label, _render_labeling),
-    "sweep": (_sweep, _render_report),
-    "metrics": (_metrics, _render_report),
-}
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: parse, lexicon, label and write, naming the stage that fails."""
@@ -244,12 +218,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         stage = "lexicon"
         lexicons = [load_lexicon(path, fmt) for path, fmt in args.lexicons]
         stage = "label"
-        compute, render = _COMMANDS[args.command]
-        result = compute(args, table, lexicons)
+        result = _compute(args, table, lexicons)
         # Rendering needs neither input; freeing them first lowers peak memory.
         del table, lexicons
         # UTF-8 whatever the locale, so stdout and -o carry the same bytes.
-        data = render(args, result).encode("utf-8")
+        data = _render(args, result).encode("utf-8")
         stage = "write"
         if args.output is None or args.output == "-":
             sys.stdout.flush()

@@ -48,29 +48,56 @@ def _prefix_trie(prefixes: Iterable[tuple[str, frozenset[str]]]) -> dict:
     return root
 
 
+def _not_str(kind: str, name, labels) -> TypeError | None:
+    """The error naming what in an entry is not a ``str``, if anything is."""
+    if not isinstance(name, str):
+        return TypeError(f"{kind} {name!r} must be a str, not {type(name).__name__}")
+    try:
+        others = [label for label in labels if not isinstance(label, str)]
+    except TypeError:
+        return TypeError(
+            f"labels of {kind} {name!r} must be a collection, not {type(labels).__name__}"
+        )
+    if others:
+        label = min(others, key=repr)  # the same one whatever the hash seed
+        return TypeError(
+            f"label {label!r} of {kind} {name!r} must be a str, not {type(label).__name__}"
+        )
+    return None
+
+
 def _merged(
-    entries: Iterable[tuple[str, Iterable[str]]], kind: str
+    entries: Mapping[str, Iterable[str]] | Iterable[tuple[str, Iterable[str]]], kind: str
 ) -> dict[str, frozenset[str]]:
     """Lowercase names and labels, union the labels of equal names, check each entry."""
+    pairs = entries
+    if hasattr(entries, "keys"):  # a mapping, read as dict() reads one
+        pairs = ((name, entries[name]) for name in entries.keys())
     merged: dict[str, frozenset[str]] = {}
-    for name, labels in entries:
+    for name, labels in pairs:
         if isinstance(labels, str):  # would iterate as its characters
             raise TypeError(f"labels of {kind} {name!r} must be a collection, not a str")
-        key = name.lower()
-        merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
-    for name, labels in merged.items():
-        if not name:
-            raise ValueError(f"empty {kind} entry")
-        if _TAB_OR_NEWLINE.search(name):
-            raise ValueError(f"{kind} {name!r} contains a tab or newline")
-        if not labels:
-            raise ValueError(f"{kind} {name!r} has an empty label set")
-        if "" in labels or _TAB_OR_NEWLINE.search("".join(labels)):
-            # Name the first faulty label in sorted order, whatever the hash seed.
-            label = min(label for label in labels if not label or _TAB_OR_NEWLINE.search(label))
-            if not label:
-                raise ValueError(f"{kind} {name!r} carries an empty label")
-            raise ValueError(f"label {label!r} contains a tab or newline")
+        try:
+            key = name.lower()
+            merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
+        except (AttributeError, TypeError) as exc:
+            raise _not_str(kind, name, labels) or exc from None
+    try:  # bytes pass .lower(), but not the pattern or the join
+        for name, labels in merged.items():
+            if _TAB_OR_NEWLINE.search(name):
+                raise ValueError(f"{kind} {name!r} contains a tab or newline")
+            if not name:
+                raise ValueError(f"empty {kind} entry")
+            if not labels:
+                raise ValueError(f"{kind} {name!r} has an empty label set")
+            if "" in labels or _TAB_OR_NEWLINE.search("".join(labels)):
+                # Name the first faulty label in sorted order, whatever the hash seed.
+                label = min(label for label in labels if not label or _TAB_OR_NEWLINE.search(label))
+                if not label:
+                    raise ValueError(f"{kind} {name!r} carries an empty label")
+                raise ValueError(f"label {label!r} contains a tab or newline")
+    except TypeError as exc:
+        raise _not_str(kind, name, labels) or exc from None
     return merged
 
 
@@ -78,12 +105,14 @@ def _merged(
 class Lexicon:
     """Immutable word-pattern to label-set mapping.
 
-    ``exact_entries`` maps whole words (a mapping, or (word, labels) pairs);
-    ``prefix_entries`` holds (prefix, labels) pairs matching any word that
-    starts with the prefix.  Both are lowercased on construction, and the
-    labels of names that repeat or become equal are unioned; label sets are
-    never empty.  ``exact_entries`` is a read-only view, so a lexicon cannot
-    change after construction.
+    ``exact_entries`` maps whole words, and ``prefix_entries`` maps prefixes
+    that match any word starting with them; each is given as a mapping or as
+    (name, labels) pairs.  Both are lowercased on construction, and the
+    labels of names that repeat or become equal are unioned; names and labels
+    must be ``str``, and label sets are never empty.  ``exact_entries`` is a
+    read-only view in first-seen order and ``prefix_entries`` a tuple of pairs
+    sorted by prefix, so a lexicon cannot change after construction and
+    equality ignores the order entries were given in.
     """
 
     resource_name: str
@@ -94,11 +123,9 @@ class Lexicon:
     _trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        given = entries = self.exact_entries
-        if hasattr(given, "keys"):  # a mapping, read as dict() reads one
-            entries = ((word, given[word]) for word in given.keys())
-        exact = _merged(entries, "word")
-        prefixes = tuple(_merged(self.prefix_entries, "prefix").items())
+        exact = _merged(self.exact_entries, "word")
+        # Sorted, so lexicons with the same prefixes compare equal in any order.
+        prefixes = tuple(sorted(_merged(self.prefix_entries, "prefix").items()))
         object.__setattr__(self, "_exact", exact)
         object.__setattr__(self, "exact_entries", MappingProxyType(exact))
         object.__setattr__(self, "prefix_entries", prefixes)
@@ -291,7 +318,7 @@ def emit_liwc(lexicon: Lexicon) -> str:
     for word in sorted(lexicon.exact_entries):
         id_fields = "\t".join(ids[label] for label in sorted(lexicon.exact_entries[word]))
         lines.append(f"{word}\t{id_fields}")
-    for prefix, prefix_labels in sorted(lexicon.prefix_entries):
+    for prefix, prefix_labels in lexicon.prefix_entries:
         id_fields = "\t".join(ids[label] for label in sorted(prefix_labels))
         lines.append(f"{prefix}*\t{id_fields}")
     return "\n".join(lines) + "\n"

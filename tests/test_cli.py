@@ -16,10 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lex2vec
-from lex2vec import cli
+from lex2vec import Lexicon, SweepReport, cli, coverage, emit_liwc
 from lex2vec.cli import main
+from lex2vec.report import labeling_from_document, render_sweep_tsv, report_from_document
 
-from helpers import brute_force_label_counts
+from helpers import brute_force_label_counts, random_lexicon_entries, random_normalized_table
 
 EMBEDDINGS = "good 1.0 0.0\nbad 0.0 0.5\ntable 0.5 1.0\n"
 PLAIN_LEXICON = "good\tposemo\nbad\tnegemo\n"
@@ -295,6 +296,45 @@ class TestMetricsCommand:
             _, metrics_out, _ = run(capsys, ["metrics", *common, "--theta", theta])
             _, sweep_out, _ = run(capsys, ["sweep", *common, "--theta-grid", theta])
             assert metrics_out == sweep_out
+
+    @pytest.mark.parametrize("json_output", [False, True], ids=["tsv", "json"])
+    @pytest.mark.parametrize("avg_mode", ["all", "named"])
+    @pytest.mark.parametrize("distinct", [False, True], ids=["mass", "distinct"])
+    def test_prints_the_coverage_of_the_labeling_label_prints(
+        self, tmp_path, capsys, distinct, avg_mode, json_output
+    ):
+        # metrics and label share one labeling: merge, label at --theta, cap
+        # by --filter.  metrics prints that labeling's coverage row.
+        rng = np.random.default_rng(23)
+        for case in range(6):
+            table = random_normalized_table(rng)
+            exact, prefixes = random_lexicon_entries(rng, table.vocabulary)
+            plain, liwc = tmp_path / f"plain{case}.tsv", tmp_path / f"liwc{case}.dic"
+            plain.write_text(
+                "".join(f"{w}\t{label}\n" for w, ls in exact.items() for label in sorted(ls)),
+                encoding="utf-8",
+            )
+            liwc.write_text(emit_liwc(Lexicon("liwc", {}, prefixes)), encoding="utf-8")
+            emb = tmp_path / f"emb{case}.txt"
+            emb.write_text("".join(
+                f"{w} {' '.join(map(repr, row.tolist()))}\n"
+                for w, row in zip(table.vocabulary, table.vectors)
+            ), encoding="utf-8")
+            argv = [
+                "-e", str(emb), "-l", f"{plain}:plain", "-l", f"{liwc}:liwc",
+                "--theta", str(rng.choice(["0.55", "0.75", "0.9"])),
+                "--filter", str(rng.choice(["none", "cap:1", "topk:2"])),
+            ]
+            code, document, _ = run(capsys, ["label", *argv, "--json"])
+            assert code == 0
+            row = coverage(labeling_from_document(json.loads(document)), distinct)
+            flags = ["--avg-mode", avg_mode] + ["--distinct-labels"] * distinct
+            code, out, _ = run(capsys, ["metrics", *argv, *flags] + ["--json"] * json_output)
+            assert code == 0
+            if json_output:
+                assert report_from_document(json.loads(out)).rows == (row,)
+            else:
+                assert out == render_sweep_tsv(SweepReport((row,)), avg_mode=avg_mode)
 
 
 class TestFailureModes:

@@ -294,6 +294,29 @@ class TestLexiconValidation:
         with pytest.raises(TypeError, match="not a str"):
             Lexicon("demo", exact, prefixes)
 
+    @pytest.mark.parametrize("form", ["mapping", "pairs"])
+    @pytest.mark.parametrize("kind", ["word", "prefix"])
+    @pytest.mark.parametrize(
+        "name, labels, message",
+        [
+            ("w", [1], "label 1 of {kind} 'w' must be a str, not int"),
+            (1, {"a"}, "{kind} 1 must be a str, not int"),
+            ("w", None, "labels of {kind} 'w' must be a collection, not NoneType"),
+            ("w", 5, "labels of {kind} 'w' must be a collection, not int"),
+            # Bytes have .lower(), so lowercasing alone does not reject them.
+            (b"w", {"a"}, "{kind} b'w' must be a str, not bytes"),
+            ("w", {b"a"}, "label b'a' of {kind} 'w' must be a str, not bytes"),
+            ("w", {"", b"a"}, "label b'a' of {kind} 'w' must be a str, not bytes"),
+        ],
+        ids=["int-label", "int-name", "none-labels", "int-labels", "bytes-name", "bytes-label",
+             "bytes-and-empty-label"],
+    )
+    def test_a_name_or_label_that_is_not_a_str_is_named(self, form, kind, name, labels, message):
+        entries = {name: labels} if form == "mapping" else [(name, labels)]
+        given = (entries, ()) if kind == "word" else ({}, entries)
+        with pytest.raises(TypeError, match=f"^{re.escape(message.format(kind=kind))}$"):
+            Lexicon("demo", *given)
+
     def test_first_faulty_label_is_named_under_any_hash_seed(self):
         # Frozenset order follows the string hash seed; the check does not.
         script = 'from lex2vec import Lexicon; Lexicon("x", {"w": {"a\\tb", "c\\td", "e\\nf"}})'
@@ -331,7 +354,8 @@ class TestEntryPairs:
     def test_repeated_names_union_their_labels(self, exact, prefixes):
         assert Lexicon("x", exact, prefixes).lookup("a") == {"p", "q"}
 
-    def test_a_mapping_is_read_through_its_keys(self):
+    @pytest.mark.parametrize("kind", ["word", "prefix"])
+    def test_a_mapping_is_read_through_its_keys(self, kind):
         class KeysOnly:  # what dict() accepts as a mapping
             def keys(self):
                 return ["Good", "bad"]
@@ -339,8 +363,16 @@ class TestEntryPairs:
             def __getitem__(self, word):
                 return {"Good": {"PosEmo"}, "bad": ("negemo",)}[word]
 
-        lex = Lexicon("demo", KeysOnly())
-        assert lex.exact_entries == {"good": {"posemo"}, "bad": {"negemo"}}
+        lex = Lexicon("demo", KeysOnly()) if kind == "word" else Lexicon("demo", {}, KeysOnly())
+        entries = lex.exact_entries if kind == "word" else dict(lex.prefix_entries)
+        assert entries == {"good": {"posemo"}, "bad": {"negemo"}}
+
+    def test_equality_ignores_prefix_order(self):
+        forward = Lexicon("x", {}, [("a", {"p"}), ("b", {"q"})])
+        backward = Lexicon("x", {}, [("B", {"q"}), ("a", {"p"})])
+        assert forward == backward
+        assert backward.prefix_entries == (("a", {"p"}), ("b", {"q"}))
+        assert emit_liwc(forward) == emit_liwc(backward) == "%\n1\tp\n2\tq\n%\na*\t1\nb*\t2\n"
 
     def test_loaders_and_merge_keep_first_seen_order(self):
         nrc = load_nrc(io.StringIO("b\tjoy\t1\nA\tfear\t1\nB\tanger\t1\n"))
