@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     label = subparsers.add_parser(
-        "label", parents=[common, single_theta],
+        "label", parents=[common, single_theta], allow_abbrev=False,
         help="name every dimension at a single theta",
     )
     label.add_argument(
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_cmd = subparsers.add_parser(
-        "sweep", parents=[common, averaging],
+        "sweep", parents=[common, averaging], allow_abbrev=False,
         help="evaluate a theta grid for each lexical resource",
     )
     sweep_cmd.add_argument(
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers.add_parser(
-        "metrics", parents=[common, single_theta, averaging],
+        "metrics", parents=[common, single_theta, averaging], allow_abbrev=False,
         help="coverage metrics for one theta",
     )
     return parser

@@ -20,7 +20,7 @@ from typing import Literal, Mapping, NamedTuple, Union
 import numpy as np
 
 from .embeddings import NormalizedEmbeddingTable
-from .lexicon import Lexicon
+from .lexicon import Lexicon, _check_labels
 
 Band = Literal["high", "low"]
 
@@ -101,7 +101,7 @@ def _given_records(contributors, counts) -> _Contributors:
     """Hits for records passed in from outside, one single-label hit each.
 
     Each dimension's label tally must equal its counts, which also rejects a
-    label it does not count, and each band must be ``high`` or ``low``.
+    label it does not count; each word must be a ``str``, each band ``high`` or ``low``.
     """
     given = tuple(tuple(records) for records in contributors)
     if len(given) != len(counts):
@@ -115,6 +115,8 @@ def _given_records(contributors, counts) -> _Contributors:
         for word, label, band in records:
             if band not in _BANDS:
                 raise ValueError(f"contributor band must be 'high' or 'low', not {band!r}")
+            if not isinstance(word, str):
+                raise TypeError(f"contributor word {word!r} must be a str")
             codes.append(2 * len(words) + (band == "high"))
             words.append((word, (label,)))
         hits.append(np.array(codes, dtype=np.int64))
@@ -125,12 +127,11 @@ def _given_records(contributors, counts) -> _Contributors:
 class DimensionLabeling:
     """Per-dimension label counts produced by :func:`label_dimensions`.
 
-    ``per_dimension[j]`` is a read-only mapping from each label attached to
-    dimension ``j`` to the number of words that contributed it; an empty
-    mapping means the dimension is unnamed.  When ``contributors`` is
-    retained it is a read-only sequence that holds, per dimension, the
-    :class:`Contribution` records behind those counts, ordered by vocabulary
-    position then label, and built each time a dimension is read.
+    ``per_dimension[j]`` maps each label attached to dimension ``j`` (a non-empty ``str``
+    with no tab or newline, as in a lexicon) to the number of words that contributed it,
+    read-only; an empty mapping means the dimension is unnamed.  A retained ``contributors``
+    is a read-only sequence of, per dimension, the :class:`Contribution` records behind
+    those counts, in vocabulary then label order, built each time a dimension is read.
     """
 
     per_dimension: tuple[Mapping[str, int], ...]
@@ -140,13 +141,14 @@ class DimensionLabeling:
 
     def __post_init__(self):
         per_dim = []
-        for counts in self.per_dimension:
+        for index, counts in enumerate(self.per_dimension):
             clean: dict[str, int] = {}
             for label, count in counts.items():
                 count = operator.index(count)
                 if count < 1:
                     raise ValueError(f"label {label!r} has non-positive count {count}")
                 clean[label] = count
+            _check_labels(clean, "dimension", index)
             per_dim.append(MappingProxyType(clean))
         if not per_dim:
             raise ValueError("a labeling needs at least one dimension")

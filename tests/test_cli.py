@@ -637,6 +637,25 @@ class TestFailureModes:
         ])
         assert (code, out) == (0, EXPECTED_LABEL_TSV)
 
+    @pytest.mark.parametrize(
+        "command, flags, unknown",
+        [
+            ("sweep", ["--theta", "0.8"], "--theta 0.8"),  # not --theta-grid
+            ("label", ["--the", "0.8"], "--the 0.8"),
+            ("label", ["--js"], "--js"),
+            ("label", ["--cont"], "--cont"),
+            ("metrics", ["--distinct"], "--distinct"),
+        ],
+    )
+    def test_flags_must_be_spelled_in_full(self, workdir, capsys, command, flags, unknown):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'lex.tsv'}:plain",
+                  *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {unknown}" in captured.err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

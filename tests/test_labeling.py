@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,35 @@ class TestLabelingValidation:
     def test_contributors_must_cover_dimensions(self):
         with pytest.raises(ValueError):
             DimensionLabeling(({"a": 1}, {}), Theta(0.75), "demo", ((),))
+
+    @pytest.mark.parametrize(
+        "per_dimension, error, message",
+        [
+            (({"a\tb": 1, "": 2},), ValueError, "dimension 0 carries an empty label"),
+            (({"a\tb": 1, "c\nd": 1},), ValueError, "label 'a\\tb' contains a tab or newline"),
+            (({}, {"a": 1, 7: 1}), TypeError, "label 7 of dimension 1 must be a str, not int"),
+            (({b"a": 1, None: 1},), TypeError,
+             "label None of dimension 0 must be a str, not NoneType"),
+        ],
+        ids=["empty-label", "tab-label", "int-label", "first-by-repr"],
+    )
+    def test_labels_follow_the_lexicon_label_rule(self, per_dimension, error, message):
+        # A TSV line would carry the tab or the empty name, and a JSON one the int.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DimensionLabeling(per_dimension, Theta(0.75), "demo")
+
+    def test_a_document_label_or_contributor_word_must_be_a_str(self):
+        document = {"theta": 0.75, "resource": "demo", "dimensions": [
+            {"labels": [{"label": 7, "count": 1}]},
+        ]}
+        with pytest.raises(TypeError, match="^label 7 of dimension 0 must be a str, not int$"):
+            labeling_from_document(document)
+        document["dimensions"][0] = {
+            "labels": [{"label": "a", "count": 1}],
+            "contributors": [{"word": 5, "label": "a", "band": "high"}],
+        }
+        with pytest.raises(TypeError, match="^contributor word 5 must be a str$"):
+            labeling_from_document(document)
 
     def test_labeling_needs_a_dimension(self):
         with pytest.raises(ValueError, match="at least one dimension"):

@@ -307,12 +307,35 @@ class TestLexiconValidation:
             (b"w", {"a"}, "{kind} b'w' must be a str, not bytes"),
             ("w", {b"a"}, "label b'a' of {kind} 'w' must be a str, not bytes"),
             ("w", {"", b"a"}, "label b'a' of {kind} 'w' must be a str, not bytes"),
+            # One-shot collections: read once, so every label is there to be named.
+            ("w", lambda: iter(["a", 5]), "label 5 of {kind} 'w' must be a str, not int"),
+            ("w", lambda: iter([2, 3]), "label 2 of {kind} 'w' must be a str, not int"),
+            ("w", lambda: (label for label in ["b", None]),
+             "label None of {kind} 'w' must be a str, not NoneType"),
         ],
         ids=["int-label", "int-name", "none-labels", "int-labels", "bytes-name", "bytes-label",
-             "bytes-and-empty-label"],
+             "bytes-and-empty-label", "iterator", "iterator-first-by-repr", "generator"],
     )
     def test_a_name_or_label_that_is_not_a_str_is_named(self, form, kind, name, labels, message):
+        labels = labels() if callable(labels) else labels  # a fresh iterator for each case
         entries = {name: labels} if form == "mapping" else [(name, labels)]
+        given = (entries, ()) if kind == "word" else ({}, entries)
+        with pytest.raises(TypeError, match=f"^{re.escape(message.format(kind=kind))}$"):
+            Lexicon("demo", *given)
+
+    @pytest.mark.parametrize("kind", ["word", "prefix"])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([("x\ty", {"a"}), (b"w", {"a"})], "{kind} b'w' must be a str, not bytes"),
+            ([("w", set()), ("v", {b"a"})], "label b'a' of {kind} 'v' must be a str, not bytes"),
+            ([("w", {"a\tb"}), ("v", [b"a"])], "label b'a' of {kind} 'v' must be a str, not bytes"),
+        ],
+        ids=["tab-name-then-bytes-name", "empty-set-then-bytes-label",
+             "tab-label-then-bytes-label"],
+    )
+    def test_a_type_fault_is_named_before_any_value_fault(self, kind, entries, message):
+        # Types are checked entry by entry, in input order, before any entry is merged.
         given = (entries, ()) if kind == "word" else ({}, entries)
         with pytest.raises(TypeError, match=f"^{re.escape(message.format(kind=kind))}$"):
             Lexicon("demo", *given)
