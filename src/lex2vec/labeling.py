@@ -206,24 +206,24 @@ def label_dimensions(
     theta = as_theta(theta)
     dim_count = table.dim_count
 
-    # Only words the lexicon knows can contribute, so the band test runs on
-    # their rows alone.
+    # Only words the lexicon knows can contribute, so the band test runs on their
+    # rows alone; each label keeps the positions of its words among those rows.
     rows: list[int] = []
-    word_labels: list[list[str]] = []
+    words: list[tuple[str, tuple[str, ...]]] = []
+    rows_of_label: dict[str, list[int]] = {}
     for row, word in enumerate(table.vocabulary):
         labels = lexicon.lookup(word)
         if labels:
+            labels = tuple(sorted(labels))
+            for label in labels:
+                rows_of_label.setdefault(label, []).append(len(rows))
             rows.append(row)
-            word_labels.append(sorted(labels))
+            words.append((word, labels))
     values = table.vectors[rows]
     high = values > theta.value
     hit = high | (values < theta.low_cutoff)
 
     # A label's count on a dimension is the number of its words in a band there.
-    rows_of_label: dict[str, list[int]] = {}
-    for pos, labels in enumerate(word_labels):
-        for label in labels:
-            rows_of_label.setdefault(label, []).append(pos)
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]
     for label in sorted(rows_of_label):
         counts = np.count_nonzero(hit[rows_of_label[label]], axis=0)
@@ -237,9 +237,6 @@ def label_dimensions(
         cols, entries = np.nonzero(hit.T)
         codes = 2 * entries + high[entries, cols]
         bounds = np.cumsum(np.count_nonzero(hit, axis=0))[:-1]
-        words = [
-            (table.vocabulary[row], tuple(labels)) for row, labels in zip(rows, word_labels)
-        ]
         contributors = _Contributors(words, np.split(codes, bounds), per_dim)
 
     return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)

@@ -22,8 +22,7 @@ def _check_avg_mode(mode: str) -> None:
 
 def unnamed_ratio(labeling: DimensionLabeling) -> float:
     """Fraction of dimensions that received no labels, in [0, 1]."""
-    empty = sum(1 for counts in labeling.per_dimension if not counts)
-    return empty / labeling.dim_count
+    return coverage(labeling).unnamed_ratio
 
 
 def avg_labels_per_dimension(
@@ -31,30 +30,21 @@ def avg_labels_per_dimension(
     mode: str = "all",
     distinct: bool = False,
 ) -> float:
-    """Average label load per dimension.
-
-    ``mode`` picks the denominator: ``all`` divides the total label mass by
-    every dimension, ``named`` only by dimensions that received at least one
-    label.  ``distinct`` counts each label once per dimension instead of
-    with multiplicity.
+    """Average label mass over every dimension (``mode`` ``all``) or over named
+    ones (``named``), as :func:`coverage` defines them.
 
     Raises:
         NoNamedDimensionsError: ``named`` mode on a fully unnamed labeling.
     """
     _check_avg_mode(mode)
-    if distinct:
-        mass = sum(len(counts) for counts in labeling.per_dimension)
-    else:
-        mass = sum(sum(counts.values()) for counts in labeling.per_dimension)
-
+    row = coverage(labeling, distinct)
     if mode == "all":
-        return mass / labeling.dim_count
-    named = sum(1 for counts in labeling.per_dimension if counts)
-    if named == 0:
+        return row.avg_labels_all
+    if row.avg_labels_named is None:
         raise NoNamedDimensionsError(
             "cannot average over named dimensions: every dimension is unnamed"
         )
-    return mass / named
+    return row.avg_labels_named
 
 
 @dataclass(frozen=True)
@@ -89,16 +79,19 @@ class SweepReport:
 def coverage(labeling: DimensionLabeling, distinct: bool = False) -> SweepRow:
     """The report row of one labeling: its theta, resource and coverage metrics.
 
-    ``distinct`` is passed on to :func:`avg_labels_per_dimension`.
+    A dimension is named when it holds a label.  Its label mass is the sum of its
+    counts, or its number of labels if ``distinct``.  The row holds the share of
+    unnamed dimensions and the average mass over every dimension and over named
+    ones, None when no dimension is named.
     """
-    ratio = unnamed_ratio(labeling)
-    return SweepRow(
-        labeling.theta.value,
-        labeling.resource_name,
-        ratio,
-        avg_labels_per_dimension(labeling, "all", distinct),
-        None if ratio == 1.0 else avg_labels_per_dimension(labeling, "named", distinct),
-    )
+    dims = labeling.dim_count
+    named = mass = 0
+    for counts in labeling.per_dimension:
+        if counts:
+            named += 1
+            mass += len(counts) if distinct else sum(counts.values())
+    metrics = (dims - named) / dims, mass / dims, mass / named if named else None
+    return SweepRow(labeling.theta.value, labeling.resource_name, *metrics)
 
 
 def _verify_trend(cells: Sequence[SweepRow]) -> None:
