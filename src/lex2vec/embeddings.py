@@ -62,9 +62,9 @@ class EmbeddingTable:
 
     ``vectors`` is an immutable float64 matrix with one row per vocabulary
     entry.  A read-only float64 array is taken over as is; anything else is
-    copied first.  Words must be unique, non-empty, and free of whitespace
-    (the text formats are whitespace-delimited, so such words could never
-    round-trip).
+    copied first.  Words must be ``str`` (the first that is not raises
+    ``TypeError``), unique, non-empty, and free of whitespace (the text
+    formats are whitespace-delimited, so such words could never round-trip).
     """
 
     vocabulary: tuple[str, ...]
@@ -79,9 +79,15 @@ class EmbeddingTable:
             vocab = _Vocabulary(vocab)
             if not vocab:
                 raise ValueError("vocabulary must not be empty")
+            try:
+                joined = "".join(vocab)
+            except TypeError:
+                word = next(w for w in vocab if not isinstance(w, str))
+                kind = type(word).__name__
+                raise TypeError(f"word {word!r} must be a str, not {kind}") from None
             if len(set(vocab)) != len(vocab):
                 raise ValueError("vocabulary contains duplicate words")
-            if "" in vocab or _WHITESPACE.search("".join(vocab)):
+            if "" in vocab or _WHITESPACE.search(joined):
                 bad = next(w for w in vocab if not w or any(ch.isspace() for ch in w))
                 raise ValueError(f"invalid word {bad!r}: empty or contains whitespace")
         vectors = self.vectors

@@ -129,9 +129,10 @@ class DimensionLabeling:
 
     ``per_dimension[j]`` maps each label attached to dimension ``j`` (a non-empty ``str``
     with no tab or newline, as in a lexicon) to the number of words that contributed it,
-    read-only; an empty mapping means the dimension is unnamed.  A retained ``contributors``
-    is a read-only sequence of, per dimension, the :class:`Contribution` records behind
-    those counts, in vocabulary then label order, built each time a dimension is read.
+    read-only; an empty mapping means the dimension is unnamed.  ``resource_name`` obeys
+    the same rule, checked first.  A retained ``contributors`` is a read-only sequence of,
+    per dimension, the :class:`Contribution` records behind those counts, in vocabulary
+    then label order, built each time a dimension is read.
     """
 
     per_dimension: tuple[Mapping[str, int], ...]
@@ -140,6 +141,7 @@ class DimensionLabeling:
     contributors: Sequence[Sequence[Contribution]] | None = None
 
     def __post_init__(self):
+        _check_labels((self.resource_name,), "a labeling", noun="resource name")
         per_dim = []
         for index, counts in enumerate(self.per_dimension):
             clean: dict[str, int] = {}
@@ -215,8 +217,9 @@ def label_dimensions(
         labels = lexicon.lookup(word)
         if labels:
             labels = tuple(sorted(labels))
+            pos = len(rows)
             for label in labels:
-                rows_of_label.setdefault(label, []).append(len(rows))
+                rows_of_label.setdefault(label, []).append(pos)
             rows.append(row)
             words.append((word, labels))
     values = table.vectors[rows]

@@ -48,22 +48,26 @@ def _prefix_trie(prefixes: Iterable[tuple[str, frozenset[str]]]) -> dict:
     return root
 
 
-def _check_labels(labels: Collection, kind: str, name) -> None:
+def _check_labels(labels: Collection, kind: str, name=None, noun: str = "label") -> None:
     """The label rule of lexicons and labelings: each is a non-empty ``str`` with no tab or
-    newline.  Names the first faulty label: by ``repr`` if not a ``str``, else in sorted order."""
+    newline.  Names the first faulty label: by ``repr`` if not a ``str``, else in sorted order.
+    The labels are those of ``kind`` ``name`` (or of ``kind`` alone); a resource name is
+    checked as the one label of its owner, with ``noun`` "resource name"."""
     try:
         joined = "".join(labels)
     except TypeError:
         label = min((label for label in labels if not isinstance(label, str)), key=repr)
+        owner = kind if name is None else f"{kind} {name!r}"
         raise TypeError(
-            f"label {label!r} of {kind} {name!r} must be a str, not {type(label).__name__}"
+            f"{noun} {label!r} of {owner} must be a str, not {type(label).__name__}"
         ) from None
     # Three substring scans: on a labeling's long joins, many times faster than the pattern.
     if "" in labels or "\t" in joined or "\n" in joined or "\r" in joined:
         label = min(label for label in labels if not label or _TAB_OR_NEWLINE.search(label))
         if not label:
-            raise ValueError(f"{kind} {name!r} carries an empty label")
-        raise ValueError(f"label {label!r} contains a tab or newline")
+            owner = kind if name is None else f"{kind} {name!r}"
+            raise ValueError(f"{owner} carries an empty {noun}")
+        raise ValueError(f"{noun} {label!r} contains a tab or newline")
 
 
 def _merged(
@@ -111,6 +115,8 @@ class Lexicon:
     unioned.  Names and labels must be ``str``, a type fault is named before any other,
     and label sets must not be empty.  ``exact_entries`` is a read-only view in first-seen
     order and ``prefix_entries`` a tuple sorted by prefix, so equality ignores entry order.
+    ``resource_name`` obeys the label rule, checked first: a non-empty ``str`` with no tab
+    or newline, as it is a field of the sweep TSV.
     """
 
     resource_name: str
@@ -121,6 +127,7 @@ class Lexicon:
     _trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_labels((self.resource_name,), "a lexicon", noun="resource name")
         exact = _merged(self.exact_entries, "word")
         # Sorted, so lexicons with the same prefixes compare equal in any order.
         prefixes = tuple(sorted(_merged(self.prefix_entries, "prefix").items()))

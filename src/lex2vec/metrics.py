@@ -8,7 +8,7 @@ from typing import Sequence
 from .embeddings import NormalizedEmbeddingTable
 from .errors import Lex2vecError, NoNamedDimensionsError
 from .labeling import DimensionLabeling, ThetaLike, _check_normalized, as_theta, label_dimensions
-from .lexicon import Lexicon
+from .lexicon import Lexicon, _check_labels
 
 
 # The denominators of avg_labels_per_dimension: every dimension, or named ones.
@@ -52,7 +52,8 @@ class SweepRow:
     """One (theta, resource) evaluation cell.
 
     ``avg_labels_named`` is None when every dimension is unnamed, where a
-    named-dimensions average has no value.
+    named-dimensions average has no value.  ``resource`` obeys the label rule of
+    lexicons: a non-empty ``str`` with no tab or newline.
     """
 
     theta: float
@@ -60,6 +61,9 @@ class SweepRow:
     unnamed_ratio: float
     avg_labels_all: float
     avg_labels_named: float | None
+
+    def __post_init__(self):
+        _check_labels((self.resource,), "a sweep row", noun="resource name")
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,21 @@ class TestTableValidation:
         with pytest.raises(TypeError, match="not a str"):
             EmbeddingTable("ab", [[1.0], [2.0]])
 
+    @pytest.mark.parametrize(
+        "vocabulary, message",
+        [
+            ((1, "a"), "word 1 must be a str, not int"),
+            (("a", b"b", 2), "word b'b' must be a str, not bytes"),
+            # A type fault is named before a duplicate.
+            ((1, 1), "word 1 must be a str, not int"),
+        ],
+        ids=["int", "bytes-first", "int-duplicate"],
+    )
+    def test_a_word_that_is_not_a_str_is_named(self, vocabulary, message):
+        vectors = [[0.1]] * len(vocabulary)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            EmbeddingTable(vocabulary, vectors)
+
     def test_whitespace_word_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(("a b",), [[1.0]])

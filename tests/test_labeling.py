@@ -197,6 +197,23 @@ class TestLabelingValidation:
         with pytest.raises(TypeError, match="^contributor word 5 must be a str$"):
             labeling_from_document(document)
 
+    @pytest.mark.parametrize(
+        "resource, error, message",
+        [
+            (5, TypeError, "resource name 5 of a labeling must be a str, not int"),
+            ("", ValueError, "a labeling carries an empty resource name"),
+            ("a\tb", ValueError, "resource name 'a\\tb' contains a tab or newline"),
+        ],
+        ids=["int", "empty", "tab"],
+    )
+    def test_resource_name_follows_the_label_rule(self, resource, error, message):
+        # Checked when built, not first when rendered.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DimensionLabeling(({"a": 1},), Theta(0.75), resource)
+        document = {"theta": 0.75, "resource": resource, "dimensions": [{"labels": []}]}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            labeling_from_document(document)
+
     def test_labeling_needs_a_dimension(self):
         with pytest.raises(ValueError, match="at least one dimension"):
             DimensionLabeling((), Theta(0.75), "demo")

@@ -354,6 +354,22 @@ class TestLexiconValidation:
             messages.add(result.stderr.strip().splitlines()[-1])
         assert messages == {"ValueError: label 'a\\tb' contains a tab or newline"}
 
+    @pytest.mark.parametrize(
+        "name, error, message",
+        [
+            ("a\tb", ValueError, "resource name 'a\\tb' contains a tab or newline"),
+            ("a\nb", ValueError, "resource name 'a\\nb' contains a tab or newline"),
+            ("", ValueError, "a lexicon carries an empty resource name"),
+            (5, TypeError, "resource name 5 of a lexicon must be a str, not int"),
+            (b"nrc", TypeError, "resource name b'nrc' of a lexicon must be a str, not bytes"),
+        ],
+        ids=["tab", "newline", "empty", "int", "bytes"],
+    )
+    def test_resource_name_follows_the_label_rule(self, name, error, message):
+        # The name is a field of the sweep TSV, where a tab would add a column.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Lexicon(name, {"w": {"x"}})
+
     def test_exact_entries_are_read_only(self):
         lex = Lexicon("demo", {"good": {"posemo"}})
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,7 +29,12 @@ from lex2vec import (
     unnamed_ratio,
 )
 
-from helpers import random_lexicon, random_normalized_table
+from helpers import (
+    brute_force_label_counts,
+    random_lexicon,
+    random_lexicon_entries,
+    random_normalized_table,
+)
 
 THETA = Theta(0.75)
 
@@ -85,6 +91,20 @@ class TestCoverage:
 
     def test_fully_unnamed_has_no_named_average(self):
         assert coverage(make_labeling({}, {})) == SweepRow(0.75, "demo", 1.0, 0.0, None)
+
+    @pytest.mark.parametrize(
+        "resource, error, message",
+        [
+            ("a\tb", ValueError, "resource name 'a\\tb' contains a tab or newline"),
+            ("", ValueError, "a sweep row carries an empty resource name"),
+            (None, TypeError, "resource name None of a sweep row must be a str, not NoneType"),
+        ],
+        ids=["tab", "empty", "none"],
+    )
+    def test_row_resource_follows_the_label_rule(self, resource, error, message):
+        # A tab would give the row one more TSV column than its header.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SweepRow(0.75, resource, 0.0, 1.0, 1.0)
 
 
 class TestSweep:
@@ -208,16 +228,53 @@ class TestSweep:
 
 
 @st.composite
-def random_labelings(draw):
+def labeling_inputs(draw):
+    """A normalized table, raw lexicon entries drawn from its words, and a theta."""
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     theta = draw(st.sampled_from([0.6, 0.75, 0.9]))
     rng = np.random.default_rng(seed)
     table = random_normalized_table(rng, max_words=16, max_dims=6)
-    lexicon = random_lexicon(rng, table.vocabulary)
-    return label_dimensions(table, lexicon, theta)
+    exact, prefixes = random_lexicon_entries(rng, table.vocabulary)
+    return table, exact, prefixes, theta
+
+
+def labeling_of(inputs):
+    table, exact, prefixes, theta = inputs
+    return label_dimensions(table, Lexicon("rand", exact, prefixes), theta)
+
+
+def random_labelings():
+    return labeling_inputs().map(labeling_of)
 
 
 class TestMetricProperties:
+    @settings(max_examples=80)
+    @given(inputs=labeling_inputs(), distinct=st.booleans())
+    def test_coverage_matches_the_oracle(self, inputs, distinct):
+        """The three metrics, computed from the brute-force counts, match exactly."""
+        table, exact, prefixes, theta = inputs
+        counts = brute_force_label_counts(
+            table.vocabulary, table.vectors.tolist(), exact, prefixes, theta
+        )
+        masses = [len(c) if distinct else sum(c.values()) for c in counts]
+        named = [mass for c, mass in zip(counts, masses) if c]
+        unnamed = sum(not c for c in counts) / len(counts)
+        avg_all = sum(masses) / len(counts)
+        avg_named = sum(named) / len(named) if named else None
+
+        labeling = labeling_of(inputs)
+        row = coverage(labeling, distinct)
+        assert (row.unnamed_ratio, row.avg_labels_all, row.avg_labels_named) == (
+            unnamed, avg_all, avg_named
+        )
+        assert unnamed_ratio(labeling) == unnamed
+        assert avg_labels_per_dimension(labeling, "all", distinct) == avg_all
+        if named:
+            assert avg_labels_per_dimension(labeling, "named", distinct) == avg_named
+        else:
+            with pytest.raises(NoNamedDimensionsError):
+                avg_labels_per_dimension(labeling, "named", distinct)
+
     @settings(max_examples=80)
     @given(labeling=random_labelings())
     def test_zero_mass_iff_fully_unnamed(self, labeling):

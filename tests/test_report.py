@@ -175,6 +175,14 @@ class TestReportJson:
         with pytest.raises(TypeError, match="avg_labels_median"):
             report_from_document(document)
 
+    def test_from_document_checks_the_resource_name(self):
+        document = {"rows": [{
+            "theta": 0.75, "resource": "a\tb", "unnamed_ratio": 0.0,
+            "avg_labels_all": 1.0, "avg_labels_named": 1.0,
+        }]}
+        with pytest.raises(ValueError, match="contains a tab or newline"):
+            report_from_document(document)
+
     def test_row_field_order(self):
         report = SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),))
         assert report_to_document(report) == {"rows": [{
