@@ -10,6 +10,7 @@ theta can only shrink the selection.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import Counter
 from collections.abc import Sequence
@@ -25,6 +26,14 @@ from .lexicon import Lexicon, _check_labels
 Band = Literal["high", "low"]
 
 
+# A theta or a sweep metric is a number, never a bool or a str, which float()
+# would take as 1.0 or parse.
+def _real(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Theta:
     """Band threshold; must satisfy 0.5 < value <= 1.0.
@@ -37,7 +46,7 @@ class Theta:
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
+        value = _real(self.value, "theta")
         if not 0.5 < value <= 1.0:
             raise ValueError(f"theta must satisfy 0.5 < theta <= 1.0, got {value}")
         object.__setattr__(self, "value", value)
@@ -51,7 +60,7 @@ ThetaLike = Union[Theta, float]
 
 
 def as_theta(value: ThetaLike) -> Theta:
-    return value if isinstance(value, Theta) else Theta(float(value))
+    return value if isinstance(value, Theta) else Theta(value)
 
 
 class Contribution(NamedTuple):
@@ -146,6 +155,8 @@ class DimensionLabeling:
         for index, counts in enumerate(self.per_dimension):
             clean: dict[str, int] = {}
             for label, count in counts.items():
+                if isinstance(count, bool):  # operator.index takes True as 1
+                    raise TypeError(f"the count of label {label!r} must be an integer, not bool")
                 count = operator.index(count)
                 if count < 1:
                     raise ValueError(f"label {label!r} has non-positive count {count}")
@@ -257,6 +268,8 @@ def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:
     unchanged, and contributor records are read from the same hits, so the
     records of dropped labels are never built.
     """
+    if isinstance(limit, bool):
+        raise TypeError("limit must be an integer, not bool")
     limit = operator.index(limit)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")

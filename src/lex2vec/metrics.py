@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .embeddings import NormalizedEmbeddingTable
 from .errors import Lex2vecError, NoNamedDimensionsError
-from .labeling import DimensionLabeling, ThetaLike, _check_normalized, as_theta, label_dimensions
+from .labeling import (
+    DimensionLabeling, Theta, ThetaLike, _check_normalized, _real, as_theta, label_dimensions,
+)
 from .lexicon import Lexicon, _check_labels
 
 
@@ -47,13 +50,24 @@ def avg_labels_per_dimension(
     return row.avg_labels_named
 
 
+def _check_metric(row: SweepRow, name: str, top: float = math.inf) -> None:
+    value = _real(getattr(row, name), name)
+    if not (math.isfinite(value) and 0.0 <= value <= top):
+        bounds = "in [0, 1]" if top == 1.0 else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bounds}, got {value}")
+    object.__setattr__(row, name, value)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One (theta, resource) evaluation cell.
 
-    ``avg_labels_named`` is None when every dimension is unnamed, where a
-    named-dimensions average has no value.  ``resource`` obeys the label rule of
-    lexicons: a non-empty ``str`` with no tab or newline.
+    ``resource`` obeys the label rule of lexicons: a non-empty ``str`` with no
+    tab or newline.  ``theta`` obeys the :class:`Theta` rule; ``unnamed_ratio``
+    is a finite number in [0, 1]; ``avg_labels_all`` and ``avg_labels_named``
+    are finite numbers >= 0, but ``avg_labels_named`` is None when every
+    dimension is unnamed, where a named-dimensions average has no value.
+    Numbers are stored as floats.
     """
 
     theta: float
@@ -64,19 +78,24 @@ class SweepRow:
 
     def __post_init__(self):
         _check_labels((self.resource,), "a sweep row", noun="resource name")
+        object.__setattr__(self, "theta", Theta(self.theta).value)
+        _check_metric(self, "unnamed_ratio", 1.0)
+        _check_metric(self, "avg_labels_all")
+        if self.avg_labels_named is not None:
+            _check_metric(self, "avg_labels_named")
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Rows ordered by (resource, descending theta)."""
+    """Rows in strict (resource, descending theta) order: no (resource, theta) twice."""
 
     rows: tuple[SweepRow, ...]
 
     def __post_init__(self):
         rows = tuple(self.rows)
         keys = [(row.resource, -row.theta) for row in rows]
-        if keys != sorted(keys):
-            raise ValueError("rows must be ordered by (resource, descending theta)")
+        if any(key >= after for key, after in zip(keys, keys[1:])):
+            raise ValueError("rows must be strictly ordered by (resource, descending theta)")
         object.__setattr__(self, "rows", rows)
 
 
@@ -98,11 +117,12 @@ def coverage(labeling: DimensionLabeling, distinct: bool = False) -> SweepRow:
     return SweepRow(labeling.theta.value, labeling.resource_name, *metrics)
 
 
-def _verify_trend(cells: Sequence[SweepRow]) -> None:
+def _verify_trend(rows: Sequence[SweepRow]) -> None:
     # Strict-threshold selection only shrinks as theta grows, so within one
     # lexicon the metrics must move monotonically; a violation is a bug.
-    ordered = sorted(cells, key=lambda row: -row.theta)
-    for above, below in zip(ordered, ordered[1:]):
+    for above, below in zip(rows, rows[1:]):
+        if below.resource != above.resource:
+            continue
         if below.unnamed_ratio > above.unnamed_ratio:
             raise Lex2vecError(
                 f"unnamed ratio rose from {above.unnamed_ratio} to {below.unnamed_ratio} "
@@ -125,33 +145,28 @@ def sweep(
 
     The table must be normalized.  Lexicons must have distinct resource
     names and thetas distinct values, which tell the rows apart.
-    Each cell runs a fresh labeling with contributor retention off.  Rows
-    come back ordered by (resource, descending theta) regardless of the
-    order of ``thetas``.
+    Each cell runs a fresh labeling with contributor retention off.  Cells
+    are evaluated in report order, by (resource, descending theta),
+    regardless of the order of ``lexicons`` and ``thetas``.
     """
     _check_normalized(table)
     if not lexicons:
         raise ValueError("at least one lexicon is required")
-    names = [lexicon.resource_name for lexicon in lexicons]
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"lexicons share the resource name {name!r}")
-    theta_values = [as_theta(t) for t in thetas]
-    if not theta_values:
+    lexicons = sorted(lexicons, key=lambda lexicon: lexicon.resource_name)
+    for first, second in zip(lexicons, lexicons[1:]):
+        if first.resource_name == second.resource_name:
+            raise ValueError(f"lexicons share the resource name {first.resource_name!r}")
+    grid = sorted(map(as_theta, thetas), key=lambda theta: -theta.value)
+    if not grid:
         raise ValueError("at least one theta is required")
-    values = [theta.value for theta in theta_values]
-    for value in values:
-        if values.count(value) > 1:
-            raise ValueError(f"the theta grid repeats {value}")
+    for first, second in zip(grid, grid[1:]):
+        if first == second:
+            raise ValueError(f"the theta grid repeats {first.value}")
 
-    rows: list[SweepRow] = []
-    for lexicon in lexicons:
-        cells = [
-            coverage(label_dimensions(table, lexicon, theta, keep_contributors=False), distinct)
-            for theta in theta_values
-        ]
-        _verify_trend(cells)
-        rows.extend(cells)
-
-    rows.sort(key=lambda row: (row.resource, -row.theta))
+    rows = [
+        coverage(label_dimensions(table, lexicon, theta, keep_contributors=False), distinct)
+        for lexicon in lexicons
+        for theta in grid
+    ]
+    _verify_trend(rows)
     return SweepReport(tuple(rows))

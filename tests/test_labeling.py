@@ -30,9 +30,9 @@ from helpers import (
 
 
 class TestTheta:
-    @pytest.mark.parametrize("value", [0.5001, 0.6, 0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("value", [0.5001, 0.6, 0.75, 0.9, 1.0, np.float32(0.75), np.int64(1)])
     def test_accepts_valid_range(self, value):
-        assert Theta(value).value == value
+        assert Theta(value).value == value and type(Theta(value).value) is float
 
     @pytest.mark.parametrize("value", [0.5, 0.4, 0.0, 1.0001, -1.0])
     def test_rejects_out_of_range(self, value):
@@ -41,6 +41,15 @@ class TestTheta:
 
     def test_low_cutoff(self):
         assert Theta(0.75).low_cutoff == 0.25
+
+    @pytest.mark.parametrize("value", [True, "0.9", np.bool_(True)])
+    def test_takes_a_real_number_that_is_not_a_bool(self, value):
+        # float() would read True as 1.0 and "0.9" as 0.9.
+        with pytest.raises(TypeError, match="^theta must be a real number, not "):
+            Theta(value)
+        document = {"theta": value, "resource": "demo", "dimensions": [{"labels": []}]}
+        with pytest.raises(TypeError, match="^theta must be a real number, not "):
+            labeling_from_document(document)
 
 
 class TestLabelDimensions:
@@ -157,6 +166,18 @@ class TestLabelingValidation:
         with pytest.raises(ValueError):
             DimensionLabeling(({"a": 0},), Theta(0.75), "demo")
 
+    def test_a_count_is_not_a_bool(self):
+        # operator.index would read True as 1.
+        message = "^the count of label 'a' must be an integer, not bool$"
+        with pytest.raises(TypeError, match=message):
+            DimensionLabeling(({"a": True},), Theta(0.75), "demo")
+        document = {"theta": 0.75, "resource": "demo", "dimensions": [
+            {"labels": [{"label": "a", "count": True}]},
+        ]}
+        with pytest.raises(TypeError, match=message):
+            labeling_from_document(document)
+        assert DimensionLabeling(({"a": np.int64(2)},), 0.75, "demo").per_dimension == ({"a": 2},)
+
     def test_contributors_must_match_counts(self):
         one_a = Contribution("w", "a", "high")
         # Too few records for a count, and a record of a label not counted.
@@ -262,6 +283,12 @@ class TestFilters:
         labeling = DimensionLabeling(({"a": 1},), Theta(0.75), "demo")
         with pytest.raises(ValueError):
             cap_labels(labeling, 0)
+
+    def test_cap_limit_is_not_a_bool(self):
+        labeling = DimensionLabeling(({"a": 2, "b": 1},), Theta(0.75), "demo")
+        with pytest.raises(TypeError, match="^limit must be an integer, not bool$"):
+            cap_labels(labeling, True)
+        assert cap_labels(labeling, np.int64(1)).per_dimension == ({"a": 2},)
 
     def test_top_k_selects_most_frequent(self):
         labeling = DimensionLabeling(({"posemo": 4, "negemo": 1},), Theta(0.75), "demo")

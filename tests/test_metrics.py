@@ -106,6 +106,43 @@ class TestCoverage:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SweepRow(0.75, resource, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"theta": 0.2}, ValueError, "theta must satisfy 0.5 < theta <= 1.0, got 0.2"),
+            ({"theta": "0.75"}, TypeError, "theta must be a real number, not str"),
+            ({"theta": True}, TypeError, "theta must be a real number, not bool"),
+            ({"unnamed_ratio": 7.0}, ValueError,
+             "unnamed_ratio must be a finite number in [0, 1], got 7.0"),
+            ({"unnamed_ratio": float("nan")}, ValueError,
+             "unnamed_ratio must be a finite number in [0, 1], got nan"),
+            ({"unnamed_ratio": "x"}, TypeError, "unnamed_ratio must be a real number, not str"),
+            ({"avg_labels_all": -1.0}, ValueError,
+             "avg_labels_all must be a finite number >= 0, got -1.0"),
+            ({"avg_labels_all": float("inf")}, ValueError,
+             "avg_labels_all must be a finite number >= 0, got inf"),
+            ({"avg_labels_named": False}, TypeError,
+             "avg_labels_named must be a real number, not bool"),
+            ({"avg_labels_named": -0.5}, ValueError,
+             "avg_labels_named must be a finite number >= 0, got -0.5"),
+        ],
+        ids=["theta-range", "theta-str", "theta-bool", "ratio-range", "ratio-nan", "ratio-str",
+             "all-negative", "all-inf", "named-bool", "named-negative"],
+    )
+    def test_row_numbers_are_checked(self, fields, error, message):
+        # Each would otherwise render as a TSV row such as 700.0% or nan%.
+        values = {"theta": 0.75, "resource": "a", "unnamed_ratio": 0.5,
+                  "avg_labels_all": 1.0, "avg_labels_named": 2.0, **fields}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SweepRow(**values)
+
+    def test_row_numbers_are_stored_as_floats(self):
+        row = SweepRow(np.float32(0.75), "a", 1, np.float64(0.0), None)
+        assert row == SweepRow(0.75, "a", 1.0, 0.0, None)
+        assert [type(value) for value in (row.theta, row.unnamed_ratio, row.avg_labels_all)] == [
+            float, float, float,
+        ]
+
 
 class TestSweep:
     def test_grid_times_resources_row_count_and_order(self, toy_table):
@@ -152,6 +189,10 @@ class TestSweep:
         ascending = sweep(toy_table, [toy_lexicon], [0.6, 0.75, 0.9])
         descending = sweep(toy_table, [toy_lexicon], [0.9, 0.75, 0.6])
         assert ascending == descending
+        other = Lexicon("alpha", {"bad": {"fear"}})
+        assert sweep(toy_table, [toy_lexicon, other], [0.6, 0.9]) == sweep(
+            toy_table, [other, toy_lexicon], [0.9, 0.6]
+        )
 
     def test_fully_unnamed_cell_has_no_named_average(self, toy_table, toy_lexicon):
         report = sweep(toy_table, [toy_lexicon], [1.0])
@@ -223,8 +264,10 @@ class TestSweep:
             SweepRow(0.75, "liwc", 0.1, 2.0, 2.2),
             SweepRow(0.81, "liwc", 0.2, 1.0, 1.3),
         )
-        with pytest.raises(ValueError):
-            SweepReport(rows)
+        repeated = (rows[1], rows[1])  # one (resource, theta) twice
+        for misordered in (rows, repeated):
+            with pytest.raises(ValueError, match="strictly ordered"):
+                SweepReport(misordered)
 
 
 @st.composite

@@ -200,9 +200,32 @@ class TestReportJson:
         )
 
     def test_dumps_rejects_nan(self):
-        report = SweepReport((SweepRow(0.75, "liwc", float("nan"), 1.0, None),))
+        # A SweepRow holds no NaN, so the document is written by hand.
+        document = {"rows": [{"theta": 0.75, "unnamed_ratio": float("nan")}]}
         with pytest.raises(ValueError):
-            dumps_document(report_to_document(report))
+            dumps_document(document)
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"unnamed_ratio": 7.0, "avg_labels_all": -1.0}, ValueError, "unnamed_ratio"),
+            ({"theta": 0.2}, ValueError, "theta"),
+            ({"unnamed_ratio": float("nan")}, ValueError, "unnamed_ratio"),
+            ({"theta": "0.75"}, TypeError, "theta"),
+        ],
+        ids=["ratio-range", "theta-range", "ratio-nan", "theta-str"],
+    )
+    def test_from_document_checks_the_row_numbers(self, fields, error, message):
+        row = {"theta": 0.75, "resource": "a", "unnamed_ratio": 0.0,
+               "avg_labels_all": 1.0, "avg_labels_named": 1.0, **fields}
+        with pytest.raises(error, match=f"^{message} must "):
+            report_from_document({"rows": [row]})
+
+    def test_from_document_rejects_a_repeated_row(self):
+        document = report_to_document(SweepReport((SweepRow(0.75, "liwc", 0.178, 106.5, None),)))
+        document["rows"] *= 2
+        with pytest.raises(ValueError, match="strictly ordered"):
+            report_from_document(document)
 
 
 json_text = st.text(
