@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -112,24 +111,40 @@ def _given_records(contributors, counts) -> _Contributors:
     Each dimension's label tally must equal its counts, which also rejects a
     label it does not count; each word must be a ``str``, each band ``high`` or ``low``.
     """
-    given = tuple(tuple(records) for records in contributors)
+    given = tuple(contributors)
     if len(given) != len(counts):
         raise ValueError("contributor records do not cover every dimension")
     words: list[tuple[str, tuple[str]]] = []
     hits = []
     for records, dim_counts in zip(given, counts):
-        if Counter(label for _, label, _ in records) != Counter(dim_counts):
-            raise ValueError("contributor records disagree with label counts")
+        tally: dict[str, int] = {}
         codes = []
         for word, label, band in records:
             if band not in _BANDS:
                 raise ValueError(f"contributor band must be 'high' or 'low', not {band!r}")
             if not isinstance(word, str):
                 raise TypeError(f"contributor word {word!r} must be a str")
+            tally[label] = tally.get(label, 0) + 1
             codes.append(2 * len(words) + (band == "high"))
             words.append((word, (label,)))
+        if tally != dim_counts:
+            raise ValueError("contributor records disagree with label counts")
         hits.append(np.array(codes, dtype=np.int64))
     return _Contributors(words, hits, counts)
+
+
+def _positive_int(value, name: str, label: object = None) -> int:
+    """A count or a cap limit: an integer >= 1, numpy's included, never a ``bool`` (which the
+    index protocol takes as 1).  ``name.format(label)`` names it, only when it raises."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or value.__class__ is bool:
+        raise TypeError(f"{name.format(label)} must be an integer, not {type(value).__name__}")
+    if number < 1:
+        raise ValueError(f"{name.format(label)} must be >= 1, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -153,14 +168,10 @@ class DimensionLabeling:
         _check_labels((self.resource_name,), "a labeling", noun="resource name")
         per_dim = []
         for index, counts in enumerate(self.per_dimension):
-            clean: dict[str, int] = {}
-            for label, count in counts.items():
-                if isinstance(count, bool):  # operator.index takes True as 1
-                    raise TypeError(f"the count of label {label!r} must be an integer, not bool")
-                count = operator.index(count)
-                if count < 1:
-                    raise ValueError(f"label {label!r} has non-positive count {count}")
-                clean[label] = count
+            clean = {
+                label: _positive_int(count, "the count of label {!r}", label)
+                for label, count in counts.items()
+            }
             _check_labels(clean, "dimension", index)
             per_dim.append(MappingProxyType(clean))
         if not per_dim:
@@ -268,12 +279,7 @@ def cap_labels(labeling: DimensionLabeling, limit: int) -> DimensionLabeling:
     unchanged, and contributor records are read from the same hits, so the
     records of dropped labels are never built.
     """
-    if isinstance(limit, bool):
-        raise TypeError("limit must be an integer, not bool")
-    limit = operator.index(limit)
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-
+    limit = _positive_int(limit, "limit")
     per_dim = [dict(ordered_labels(counts)[:limit]) for counts in labeling.per_dimension]
     return DimensionLabeling(
         tuple(per_dim), labeling.theta, labeling.resource_name, labeling.contributors

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from json.encoder import encode_basestring
 from typing import Any, Mapping
 
-from .labeling import Contribution, DimensionLabeling, ordered_labels
+from .labeling import DimensionLabeling, ordered_labels
 from .metrics import SweepReport, SweepRow, _check_avg_mode, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
+# A contributor record of a labeling document as the (word, label, band) a labeling reads.
+_RECORD = operator.itemgetter("word", "label", "band")
 
 
 def _name(ranked: list[tuple[str, int]]) -> str:
@@ -121,24 +124,37 @@ def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:
     return json.loads(render_labeling_json(labeling))
 
 
+def _restates(value: Any, expected: int) -> bool:
+    # A document's index and dim_count restate its entries: each must be that int, not a bool.
+    return type(value) is int and value == expected
+
+
 def labeling_from_document(document: Mapping[str, Any]) -> DimensionLabeling:
-    """Inverse of :func:`labeling_to_document` (metrics are recomputed)."""
-    per_dim = tuple(
-        {item["label"]: item["count"] for item in entry["labels"]}
-        for entry in document["dimensions"]
-    )
-    contributors = None
-    if any("contributors" in entry for entry in document["dimensions"]):
-        contributors = tuple(
-            tuple(
-                Contribution(rec["word"], rec["label"], rec["band"])
-                for rec in entry.get("contributors", ())
-            )
-            for entry in document["dimensions"]
+    """Inverse of :func:`labeling_to_document`: ``name`` and the metrics are recomputed.
+
+    A dimension entry that lists a label twice raises ``ValueError``, and so does an
+    ``index`` that is not the entry's position or a ``dim_count`` that is not the number
+    of entries; a document may omit those two keys.
+    """
+    per_dim, records, given = [], [], False
+    for index, entry in enumerate(document["dimensions"]):
+        if not _restates(entry.get("index", index), index):
+            raise ValueError(f"dimension entry {index} has index {entry['index']!r}")
+        counts = {}
+        for item in entry["labels"]:
+            label = item["label"]
+            if label in counts:
+                raise ValueError(f"dimension {index} lists label {label!r} twice")
+            counts[label] = item["count"]
+        per_dim.append(counts)
+        records.append(map(_RECORD, entry.get("contributors", ())))
+        given = given or "contributors" in entry
+    if not _restates(document.get("dim_count", len(per_dim)), len(per_dim)):
+        raise ValueError(
+            f"dim_count {document['dim_count']!r} is not the {len(per_dim)} dimension entries"
         )
-    return DimensionLabeling(
-        per_dim, document["theta"], document["resource"], contributors
-    )
+    contributors = records if given else None
+    return DimensionLabeling(tuple(per_dim), document["theta"], document["resource"], contributors)
 
 
 def report_to_document(report: SweepReport) -> dict[str, Any]:

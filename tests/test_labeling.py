@@ -178,6 +178,27 @@ class TestLabelingValidation:
             labeling_from_document(document)
         assert DimensionLabeling(({"a": np.int64(2)},), 0.75, "demo").per_dimension == ({"a": 2},)
 
+    @pytest.mark.parametrize(
+        "count, error, message",
+        [
+            (2.0, TypeError, "must be an integer, not float"),
+            ("1", TypeError, "must be an integer, not str"),
+            (None, TypeError, "must be an integer, not NoneType"),
+            (0, ValueError, "must be >= 1, got 0"),
+            (np.int64(-2), ValueError, "must be >= 1, got -2"),
+        ],
+        ids=["float", "str", "none", "zero", "numpy-negative"],
+    )
+    def test_a_count_that_is_not_a_positive_integer_names_its_label(self, count, error, message):
+        message = f"^the count of label 'a' {re.escape(message)}$"
+        with pytest.raises(error, match=message):
+            DimensionLabeling(({"b": 1}, {"a": count}), Theta(0.75), "demo")
+        document = {"theta": 0.75, "resource": "demo", "dimensions": [
+            {"labels": [{"label": "a", "count": count}]},
+        ]}
+        with pytest.raises(error, match=message):
+            labeling_from_document(document)
+
     def test_contributors_must_match_counts(self):
         one_a = Contribution("w", "a", "high")
         # Too few records for a count, and a record of a label not counted.
@@ -289,6 +310,21 @@ class TestFilters:
         with pytest.raises(TypeError, match="^limit must be an integer, not bool$"):
             cap_labels(labeling, True)
         assert cap_labels(labeling, np.int64(1)).per_dimension == ({"a": 2},)
+
+    @pytest.mark.parametrize(
+        "limit, error, message",
+        [
+            (2.0, TypeError, "limit must be an integer, not float"),
+            ("1", TypeError, "limit must be an integer, not str"),
+            (None, TypeError, "limit must be an integer, not NoneType"),
+            (-1, ValueError, "limit must be >= 1, got -1"),
+        ],
+        ids=["float", "str", "none", "negative"],
+    )
+    def test_cap_limit_must_be_an_integer(self, limit, error, message):
+        labeling = DimensionLabeling(({"a": 2, "b": 1},), Theta(0.75), "demo")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cap_labels(labeling, limit)
 
     def test_top_k_selects_most_frequent(self):
         labeling = DimensionLabeling(({"posemo": 4, "negemo": 1},), Theta(0.75), "demo")

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lex2vec import (
@@ -155,6 +156,37 @@ class TestLabelingJson:
         doc["dimensions"][0]["contributors"][0]["band"] = "sideways"
         with pytest.raises(ValueError):
             labeling_from_document(doc)
+
+    def test_from_document_rejects_a_repeated_label(self):
+        # A dict built from the entries would keep the last count, 3.
+        document = {"theta": 0.75, "resource": "demo", "dimensions": [
+            {"labels": [{"label": "b", "count": 2}]},
+            {"labels": [{"label": "a", "count": 1}, {"label": "a", "count": 3}]},
+        ]}
+        with pytest.raises(ValueError, match="^dimension 1 lists label 'a' twice$"):
+            labeling_from_document(document)
+
+    @pytest.mark.parametrize(
+        "index, dim_count, message",
+        [
+            (5, 2, "dimension entry 1 has index 5"),
+            (0, 2, "dimension entry 1 has index 0"),
+            (True, 2, "dimension entry 1 has index True"),
+            (1.0, 2, "dimension entry 1 has index 1.0"),
+            ("1", 2, "dimension entry 1 has index '1'"),
+            (1, 7, "dim_count 7 is not the 2 dimension entries"),
+            (1, 1, "dim_count 1 is not the 2 dimension entries"),
+            (1, 2.0, "dim_count 2.0 is not the 2 dimension entries"),
+        ],
+    )
+    def test_from_document_checks_index_and_dim_count(self, index, dim_count, message):
+        # Both keys are recomputed when written, so a given one must agree with the entries.
+        labeling = DimensionLabeling(({"a": 1}, {"b": 2}), Theta(0.75), "demo")
+        document = labeling_to_document(labeling)
+        document["dimensions"][1]["index"] = index
+        document["dim_count"] = dim_count
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            labeling_from_document(document)
 
 
 class TestReportJson:
@@ -354,3 +386,22 @@ class TestLabelingWriter:
         labeling, expected = case
         assert render_labeling_json(labeling) == stdlib_dumps(expected)
         assert labeling_from_document(labeling_to_document(labeling)) == labeling
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=labeling_cases(), data=st.data())
+    def test_reader_rejects_a_moved_entry_or_a_repeated_label(self, case, data):
+        labeling, _ = case
+        document = labeling_to_document(labeling)
+        dimensions = document["dimensions"]
+        n = len(dimensions)
+        moves = [("move", i, j) for i in range(n) for j in range(n) if i != j]
+        repeats = [("repeat", i, j) for i in range(n) for j in range(len(dimensions[i]["labels"]))]
+        assume(moves or repeats)
+        kind, i, j = data.draw(st.sampled_from(moves + repeats))
+        if kind == "move":  # entry i now sits at position j, still carrying index i
+            dimensions.insert(j, dimensions.pop(i))
+        else:  # dimension i lists its label entry j twice
+            labels = dimensions[i]["labels"]
+            labels.insert(data.draw(st.integers(0, len(labels))), dict(labels[j]))
+        with pytest.raises(ValueError):
+            labeling_from_document(document)
