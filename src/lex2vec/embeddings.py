@@ -371,7 +371,8 @@ def _parse(
         _min_max_scale(vectors, vectors, scope)
     vectors.setflags(write=False)
     table = EmbeddingTable if scope is None else NormalizedEmbeddingTable
-    return table(tuple(words), vectors, duplicates_skipped=duplicates)
+    # seen and str.split made the words unique, non-empty, whitespace-free str.
+    return table(_Vocabulary(words), vectors, duplicates_skipped=duplicates)
 
 
 def read_embeddings(
@@ -449,10 +450,15 @@ def emit_embeddings(
 
     ``precision`` fixes the number of decimal places; ``None`` uses Python's
     shortest round-trip representation, so ``parse_embeddings`` recovers the
-    exact values.
+    exact values.  A NaN or infinite value, which the parser would refuse,
+    raises :class:`NonFiniteValueError` naming the first such word.
     """
     if fmt is EmbeddingFormat.AUTO:
         raise ValueError("emit requires a concrete format, not AUTO")
+    finite = np.isfinite(table.vectors).all(axis=1)
+    if not finite.all():
+        word = table.vocabulary[int(np.argmin(finite))]
+        raise NonFiniteValueError(f"word {word!r} has a NaN or infinite value")
     if precision is None:
         render = lambda v: repr(float(v))  # noqa: E731
     else:

@@ -110,25 +110,28 @@ def _given_records(contributors, counts) -> _Contributors:
 
     Each dimension's label tally must equal its counts, which also rejects a
     label it does not count; each word must be a ``str``, each band ``high`` or ``low``.
+    A fault names its dimension.
     """
     given = tuple(contributors)
     if len(given) != len(counts):
         raise ValueError("contributor records do not cover every dimension")
     words: list[tuple[str, tuple[str]]] = []
     hits = []
-    for records, dim_counts in zip(given, counts):
+    for index, (records, dim_counts) in enumerate(zip(given, counts)):
         tally: dict[str, int] = {}
         codes = []
         for word, label, band in records:
             if band not in _BANDS:
-                raise ValueError(f"contributor band must be 'high' or 'low', not {band!r}")
+                raise ValueError(
+                    f"dimension {index}: contributor band must be 'high' or 'low', not {band!r}"
+                )
             if not isinstance(word, str):
-                raise TypeError(f"contributor word {word!r} must be a str")
+                raise TypeError(f"dimension {index}: contributor word {word!r} must be a str")
             tally[label] = tally.get(label, 0) + 1
             codes.append(2 * len(words) + (band == "high"))
             words.append((word, (label,)))
         if tally != dim_counts:
-            raise ValueError("contributor records disagree with label counts")
+            raise ValueError(f"dimension {index}: contributor records disagree with label counts")
         hits.append(np.array(codes, dtype=np.int64))
     return _Contributors(words, hits, counts)
 

@@ -51,8 +51,8 @@ def _prefix_trie(prefixes: Iterable[tuple[str, frozenset[str]]]) -> dict:
 def _check_labels(labels: Collection, kind: str, name=None, noun: str = "label") -> None:
     """The label rule of lexicons and labelings: each is a non-empty ``str`` with no tab or
     newline.  Names the first faulty label: by ``repr`` if not a ``str``, else in sorted order.
-    The labels are those of ``kind`` ``name`` (or of ``kind`` alone); a resource name is
-    checked as the one label of its owner, with ``noun`` "resource name"."""
+    The labels are those of ``kind`` ``name`` (or of ``kind`` alone); a resource name or an
+    entry name is checked as the one label of its owner, with ``noun`` naming what it is."""
     try:
         joined = "".join(labels)
     except TypeError:
@@ -95,10 +95,7 @@ def _merged(
         key = name.lower()
         merged[key] = merged.get(key, frozenset()) | {label.lower() for label in labels}
     for name, labels in merged.items():  # values, once merged
-        if _TAB_OR_NEWLINE.search(name):
-            raise ValueError(f"{kind} {name!r} contains a tab or newline")
-        if not name:
-            raise ValueError(f"empty {kind} entry")
+        _check_labels((name,), "a lexicon", noun=kind)
         if not labels:
             raise ValueError(f"{kind} {name!r} has an empty label set")
         _check_labels(labels, kind, name)
@@ -112,11 +109,11 @@ class Lexicon:
     ``exact_entries`` maps whole words, and ``prefix_entries`` maps prefixes that match
     any word starting with them; each is a mapping or (name, labels) pairs, the labels in
     any iterable.  Both are lowercased, and names equal after that have their labels
-    unioned.  Names and labels must be ``str``, a type fault is named before any other,
-    and label sets must not be empty.  ``exact_entries`` is a read-only view in first-seen
-    order and ``prefix_entries`` a tuple sorted by prefix, so equality ignores entry order.
-    ``resource_name`` obeys the label rule, checked first: a non-empty ``str`` with no tab
-    or newline, as it is a field of the sweep TSV.
+    unioned.  Names and labels obey the label rule, a type fault is named before any
+    other, and label sets must not be empty.  ``exact_entries`` is a read-only view in
+    first-seen order and ``prefix_entries`` a tuple sorted by prefix, so equality ignores
+    entry order.  ``resource_name`` obeys the label rule too, checked first: a non-empty
+    ``str`` with no tab or newline, as it is a field of the sweep TSV.
     """
 
     resource_name: str
@@ -172,7 +169,7 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
     Lines with flag 1 add the label to the word's set; flag 0 lines carry no
     association and are skipped.  Blank lines are ignored.
     """
-    entries: list[tuple[str, tuple[str]]] = []
+    entries: dict[str, list[str]] = {}  # one entry per word, as Lexicon merges them
     for number, fields in _tab_lines(source):
         if len(fields) != 3:
             raise MalformedLexiconLineError(
@@ -186,7 +183,7 @@ def load_nrc(source: Iterable[str]) -> Lexicon:
         if not word or not label:
             raise MalformedLexiconLineError("empty word or label", number)
         if flag == "1":
-            entries.append((word, (label,)))
+            entries.setdefault(word, []).append(label)
     return Lexicon("nrc", entries)
 
 
@@ -254,11 +251,11 @@ def load_liwc(source: Iterable[str]) -> Lexicon:
 
 def load_plain(source: Iterable[str]) -> Lexicon:
     """Load a plain ``word<TAB>label`` lexicon (exact entries only)."""
-    entries: list[tuple[str, tuple[str]]] = []
+    entries: dict[str, list[str]] = {}  # one entry per word, as Lexicon merges them
     for number, fields in _tab_lines(source):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise MalformedLexiconLineError("expected 'word<TAB>label'", number)
-        entries.append((fields[0], (fields[1],)))
+        entries.setdefault(fields[0], []).append(fields[1])
     return Lexicon("plain", entries)
 
 

@@ -407,9 +407,9 @@ class TestFailureModes:
             lexicon = bad
         code, out, err = run(capsys, ["label", "-e", embeddings, "-l", f"{lexicon}:plain"])
         assert (code, out) == (1, "")
-        stage = "lexicon" if target == "lexicon" else "parse"
+        stage, where = ("lexicon", f" (in {lexicon})") if target == "lexicon" else ("parse", "")
         assert err == (
-            f"lex2vec: {stage} error: line 1501: invalid UTF-8 (invalid start byte)\n"
+            f"lex2vec: {stage} error: line 1501: invalid UTF-8 (invalid start byte){where}\n"
         )
 
     @pytest.mark.parametrize("source", ["path", "stdin"])
@@ -514,7 +514,7 @@ class TestFailureModes:
             (
                 EMBEDDINGS.encode(),
                 "bad.nrc:nrc",
-                "lexicon error: line 2: expected 3 tab-separated fields, found 2",
+                "lexicon error: line 2: expected 3 tab-separated fields, found 2 (in {nrc})",
             ),
         ],
         ids=["count-before-bad-byte", "cr-before-bad-byte", "nrc-field-before-bad-byte"],
@@ -529,6 +529,7 @@ class TestFailureModes:
             monkeypatch.setattr("sys.stdin", stdin_of(data))
             embeddings = "-"
         code, out, err = run(capsys, ["label", "-e", embeddings, "-l", str(workdir / lexicon)])
+        message = message.format(nrc=workdir / "bad.nrc")
         assert (code, out, err) == (1, "", f"lex2vec: {message}\n")
 
     @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff"], ids=["empty", "blank", "bom"])
@@ -541,7 +542,31 @@ class TestFailureModes:
         code, out, err = run(capsys, [
             "label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'empty.dic'}:liwc",
         ])
-        assert (code, out, err) == (1, "", f"lex2vec: lexicon error: {message}\n")
+        where = workdir / "empty.dic"
+        assert (code, out, err) == (1, "", f"lex2vec: lexicon error: {message} (in {where})\n")
+
+    def test_a_lexicon_error_names_its_file(self, workdir, capsys):
+        # Line 2 of the second file is at fault, and the first file is valid.
+        (workdir / "a.tsv").write_text("good\tjoy\nbad\tfear\n", encoding="utf-8")
+        (workdir / "b.tsv").write_text("good\tjoy\nbad\n", encoding="utf-8")
+        code, out, err = run(capsys, [
+            "label", "-e", str(workdir / "emb.txt"),
+            "-l", f"{workdir / 'a.tsv'}:plain", "-l", f"{workdir / 'b.tsv'}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"lex2vec: lexicon error: line 2: expected 'word<TAB>label' (in {workdir / 'b.tsv'})\n"
+        )
+
+    def test_a_lexicon_file_that_cannot_be_opened_is_named_once(self, workdir, capsys):
+        missing = workdir / "missing.tsv"
+        code, out, err = run(capsys, [
+            "label", "-e", str(workdir / "emb.txt"), "-l", f"{missing}:plain",
+        ])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"lex2vec: lexicon error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
 
     def test_malformed_lexicon_exits_1_with_stage(self, workdir, capsys):
         bad = workdir / "bad_lex.txt"

@@ -636,6 +636,13 @@ class TestEmitRoundTrip:
         back = parse_embeddings(io.StringIO(text))
         np.testing.assert_allclose(back.vectors, table.vectors, atol=1e-6, rtol=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_emit_refuses_a_value_the_parser_would_refuse(self, value):
+        # Rows 1 and 2 hold the value; the first of them is named.
+        table = EmbeddingTable(("a", "b", "c"), [[0.0, 1.0], [value, 1.0], [2.0, value]])
+        with pytest.raises(NonFiniteValueError, match="^word 'b' has a NaN or infinite value$"):
+            emit_embeddings(table)
+
     def test_emit_requires_concrete_format(self):
         table = EmbeddingTable(("a",), [[1.0]])
         with pytest.raises(ValueError):

@@ -236,7 +236,28 @@ class TestLabelingValidation:
             "labels": [{"label": "a", "count": 1}],
             "contributors": [{"word": 5, "label": "a", "band": "high"}],
         }
-        with pytest.raises(TypeError, match="^contributor word 5 must be a str$"):
+        with pytest.raises(TypeError, match="^dimension 0: contributor word 5 must be a str$"):
+            labeling_from_document(document)
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            ({"word": "w", "label": "a", "band": "x"}, ValueError,
+             "dimension 3: contributor band must be 'high' or 'low', not 'x'"),
+            ({"word": 5, "label": "a", "band": "high"}, TypeError,
+             "dimension 3: contributor word 5 must be a str"),
+            ({"word": "w", "label": "b", "band": "high"}, ValueError,
+             "dimension 3: contributor records disagree with label counts"),
+        ],
+        ids=["band", "word", "tally"],
+    )
+    def test_a_faulty_contributor_record_names_its_dimension(self, record, error, message):
+        good = {"labels": [{"label": "a", "count": 1}],
+                "contributors": [{"word": "v", "label": "a", "band": "low"}]}
+        dimensions = [good, {"labels": []}, good, {"labels": [{"label": "a", "count": 1}],
+                                                   "contributors": [record]}, good]
+        document = {"theta": 0.75, "resource": "demo", "dimensions": dimensions}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             labeling_from_document(document)
 
     @pytest.mark.parametrize(

@@ -282,9 +282,18 @@ class TestLexiconValidation:
         with pytest.raises(ValueError):
             Lexicon("demo", {"go\nod": {"posemo"}})
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="^a lexicon carries an empty word$"):
+            Lexicon("demo", {"": {"posemo"}})
+
     def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a lexicon carries an empty prefix$"):
             Lexicon("demo", {}, (("", frozenset({"posemo"})),))
+
+    def test_tab_in_word_names_the_word(self):
+        message = "word 'a\\tb' contains a tab or newline"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Lexicon("demo", {"a\tb": {"posemo"}})
 
     @pytest.mark.parametrize(
         "exact, prefixes", [({"good": "joy"}, ()), ({}, (("go", "joy"),))]
