@@ -216,9 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         table = _load_normalized(args)
         stage = "lexicon"
-        lexicons = []
-        for path, fmt in args.lexicons:
-            lexicons.append(load_lexicon(path, fmt))
+        lexicons = [load_lexicon(path, fmt) for path, fmt in args.lexicons]
         stage = "label"
         result = _compute(args, table, lexicons)
         # Rendering needs neither input; freeing them first lowers peak memory.
@@ -234,11 +232,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.output, "wb") as stream:
                 stream.write(data)
     except (Lex2vecError, OSError, ValueError) as exc:
-        # A lexicon error names its file, unless it is an OSError that already does.
-        where = ""
-        if stage == "lexicon" and getattr(exc, "filename", None) is None:
-            where = f" (in {path})"
-        print(f"lex2vec: {stage} error: {exc}{where}", file=sys.stderr)
+        print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
         return 1
     return 0
 

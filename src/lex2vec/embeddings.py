@@ -177,6 +177,7 @@ def _check_utf8(number: int, line: str, error: type[LineError] = MalformedLineEr
 def _parse_header(number: int, line: str) -> tuple[str, str]:
     # The header grammar is detect_format's.  The counts stay text without
     # leading zeros, so a count of any length compares with str() of a count.
+    _check_utf8(number, line)
     if detect_format(line) is not EmbeddingFormat.WORD2VEC_TEXT:
         raise MalformedLineError("expected Word2Vec header '<vocab_size> <dim_count>'", number)
     vocab_size, dim_count = line.split()
@@ -304,32 +305,16 @@ def _parse(
     # scope the buffer is min-max rescaled before it is frozen, and the table is
     # a NormalizedEmbeddingTable: the caller gets the matrix once, not twice.
     lines = _content_lines(source)
-    try:
-        first_number, first_line = next(lines)
-    except StopIteration:
-        raise EmptyInputError("no embedding lines found") from None
-    _check_utf8(first_number, first_line)
-
+    first = next(lines, None)
+    if first is None:
+        raise EmptyInputError("no embedding lines found")
     if fmt is EmbeddingFormat.AUTO:
-        fmt = detect_format(first_line)
-
+        fmt = detect_format(first[1])
     header: tuple[str, str] | None = None
-    header_number = first_number
     if fmt is EmbeddingFormat.WORD2VEC_TEXT:
-        header = _parse_header(first_number, first_line)
-        try:
-            first_number, first_line = next(lines)
-        except StopIteration:
-            raise EmptyInputError("header present but no embedding lines follow") from None
-        _check_utf8(first_number, first_line)
-
-    dim_count = len(first_line.split()) - 1
-    if dim_count < 1:
-        raise MalformedLineError("expected a word followed by at least one value", first_number)
-    if header is not None and str(dim_count) != header[1]:
-        raise DimensionMismatchError(
-            f"header declares {header[1]} dimensions but data has {dim_count}", first_number
-        )
+        header = _parse_header(*first)
+    else:
+        lines = itertools.chain([first], lines)
 
     words: list[str] = []
     seen: set[str] = set()
@@ -338,8 +323,17 @@ def _parse(
     # before the next is parsed and the matrix is never held twice.
     vectors = None
     data_lines = 0
-    data = itertools.chain([(first_number, first_line)], lines)
-    for chunk in iter(lambda: list(itertools.islice(data, _CHUNK_LINES)), []):
+    for chunk in iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []):
+        if vectors is None:  # the first data line sets the width
+            number, line = chunk[0]
+            _check_utf8(number, line)
+            dim_count = len(line.split()) - 1
+            if dim_count < 1:
+                raise MalformedLineError("expected a word followed by at least one value", number)
+            if header is not None and str(dim_count) != header[1]:
+                raise DimensionMismatchError(
+                    f"header declares {header[1]} dimensions but data has {dim_count}", number
+                )
         data_lines += len(chunk)
         chunk_words, block = _parse_chunk(chunk, dim_count)
         keep = []
@@ -358,10 +352,11 @@ def _parse(
         vectors[start : len(words)] = block if len(keep) == len(chunk) else block[keep]
         del chunk, chunk_words, block  # free before the next chunk is read
 
+    if vectors is None:
+        raise EmptyInputError("header present but no embedding lines follow")
     if header is not None and str(data_lines) != header[0]:
         raise DimensionMismatchError(
-            f"header declares {header[0]} words but {data_lines} data lines follow",
-            header_number,
+            f"header declares {header[0]} words but {data_lines} data lines follow", first[0]
         )
     duplicates = data_lines - len(words)
     if duplicates:

@@ -23,6 +23,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .embeddings import _check_utf8, _content_lines
 from .errors import (
+    Lex2vecError,
     MalformedLexiconLineError,
     MissingDelimiterError,
     UnknownCategoryIdError,
@@ -267,7 +268,8 @@ def load_lexicon(path: str | Path, fmt: str) -> Lexicon:
     """Open ``path`` as UTF-8 text and load it as ``fmt`` (nrc, liwc, or plain).
 
     Invalid UTF-8 raises :class:`MalformedLexiconLineError` naming its line,
-    and an earlier faulty line wins whatever its fault.
+    and an earlier faulty line wins whatever its fault.  The message of an
+    error in the file's content ends with `` (in PATH)``.
     """
     try:
         loader = _LOADERS[fmt]
@@ -276,7 +278,11 @@ def load_lexicon(path: str | Path, fmt: str) -> Lexicon:
             f"unknown lexicon format {fmt!r}; expected one of {', '.join(LEXICON_FORMATS)}"
         ) from None
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
-        return loader(stream)
+        try:
+            return loader(stream)
+        except (Lex2vecError, ValueError) as exc:
+            exc.args = (f"{exc} (in {path})",)
+            raise
 
 
 def merge_lexicons(lexicons: Sequence[Lexicon]) -> Lexicon:

@@ -578,10 +578,14 @@ class TestFailureModes:
         assert "lexicon error" in err
         assert "line 1" in err
 
-    def test_bad_lexicon_spec_is_usage_error(self, workdir, capsys):
+    @pytest.mark.parametrize("spec", ["no-format-here", "x.tsv:bogus"])
+    def test_bad_lexicon_spec_is_usage_error(self, workdir, capsys, spec):
+        # A usage error, found before the missing embedding file is opened.
         with pytest.raises(SystemExit) as excinfo:
-            main(["label", "-e", str(workdir / "emb.txt"), "-l", "no-format-here"])
+            main(["label", "-e", str(workdir / "missing.txt"), "-l", spec])
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected PATH:FORMAT with FORMAT one of nrc, liwc, plain" in err
 
     def test_out_of_range_theta_is_usage_error(self, workdir, capsys):
         with pytest.raises(SystemExit) as excinfo:

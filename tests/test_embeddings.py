@@ -90,10 +90,19 @@ class TestParse:
         with pytest.raises(DimensionMismatchError):
             parse_embeddings(io.StringIO("2 3\ngood 1.0 0.0\nbad -1.0 0.5\n"))
 
-    def test_invalid_header_when_format_forced(self):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (GLOVE_TWO_LINES, "line 1: expected Word2Vec header '<vocab_size> <dim_count>'"),
+            # A UTF-8 fault is named before the header grammar.
+            ("2\udcff 2\ngood 1.0 0.0\n", "line 1: invalid UTF-8 (invalid start byte)"),
+        ],
+        ids=["glove-line", "escaped-byte"],
+    )
+    def test_invalid_header_when_format_forced(self, text, message):
         with pytest.raises(MalformedLineError) as excinfo:
-            parse_embeddings(io.StringIO(GLOVE_TWO_LINES), EmbeddingFormat.WORD2VEC_TEXT)
-        assert excinfo.value.line_number == 1
+            parse_embeddings(io.StringIO(text), EmbeddingFormat.WORD2VEC_TEXT)
+        assert (str(excinfo.value), excinfo.value.line_number) == (message, 1)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -301,6 +310,30 @@ class TestChunkedParse:
             parse_embeddings(io.StringIO("".join(lines)))
         assert excinfo.value.line_number == 5101
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_a_later_chunk_of_the_wrong_width_names_its_first_line(self, tmp_path, source):
+        # One value per line parses as a one-column block, which would broadcast into the buffer.
+        chunk = embeddings._CHUNK_LINES
+        data = "".join(numbered_lines(chunk) + [f"v{i} {i}.5\n" for i in range(chunk)]).encode()
+        path = tmp_path / "narrow.txt"
+        path.write_bytes(data)
+        with pytest.raises(MalformedLineError) as excinfo:
+            if source == "path":
+                read_embeddings(path)
+            else:
+                parse_embeddings(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
+        assert str(excinfo.value) == f"line {chunk + 1}: expected 2 values, found 1"
+        assert excinfo.value.line_number == chunk + 1
+
+    def test_well_formed_chunks_take_the_block_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a well-formed chunk was parsed line by line")
+
+        monkeypatch.setattr(embeddings, "_parse_line", refuse)
+        table = parse_embeddings(numbered_lines(2 * embeddings._CHUNK_LINES))
+        assert table.vectors.shape == (2 * embeddings._CHUNK_LINES, 2)
+        assert table.vectors[-1].tolist() == [2047.5, -2047.25]
+
     def test_exact_round_trip_across_chunks(self):
         rng = np.random.default_rng(11)
         raw = rng.normal(size=(9000, 4)) * 10.0 ** rng.integers(-300, 300, size=(9000, 4))
@@ -489,10 +522,14 @@ class TestNormalize:
         with pytest.raises(NonFiniteValueError):
             normalize(table)
 
-    def test_infinity_rejected(self):
-        table = EmbeddingTable(("a", "b"), [[1.0], [math.inf]])
-        with pytest.raises(NonFiniteValueError):
-            normalize(table)
+    @pytest.mark.parametrize("scope", ["dimension", "word", "global"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinity_rejected(self, scope, value):
+        # Only one extreme of each group is infinite, and no value is NaN.
+        table = EmbeddingTable(("a", "b"), [[1.0, 2.0], [value, 3.0]])
+        message = "^cannot normalize a table with NaN or infinite values$"
+        with pytest.raises(NonFiniteValueError, match=message):
+            normalize(table, scope=scope)
 
     def test_word_scope_scales_rows(self):
         table = EmbeddingTable(("a", "b"), [[0.0, 10.0], [5.0, 5.0]])

@@ -97,6 +97,18 @@ class TestLabelDimensions:
             (Contribution("good", "posemo", "low"),),
         )
 
+    def test_contributors_differ_by_any_record(self, toy_table, toy_lexicon):
+        labeling = label_dimensions(toy_table, toy_lexicon, 0.75, keep_contributors=True)
+        records = [list(dim_records) for dim_records in labeling.contributors]
+        records[0][0] = Contribution("fine", "posemo", "high")
+        other = DimensionLabeling(
+            labeling.per_dimension, labeling.theta, labeling.resource_name, records
+        )
+        assert other.per_dimension == labeling.per_dimension
+        assert other != labeling
+        assert other.contributors != labeling.contributors
+        assert not labeling.contributors == ((), ())
+
     @pytest.mark.parametrize(
         "index",
         [slice(None), slice(-3, None), slice(1, -1, 2), slice(None, None, -2), slice(-100, 100)],

@@ -214,6 +214,41 @@ class TestLoadPlain:
 
 
 @pytest.mark.parametrize(
+    "fmt, text, error, message, line_number",
+    [
+        (
+            "nrc", "good\tjoy\t1\nbad\tjoy\n", MalformedLexiconLineError,
+            "line 2: expected 3 tab-separated fields, found 2", 2,
+        ),
+        (
+            "plain", "good\tjoy\nbad\n", MalformedLexiconLineError,
+            "line 2: expected 'word<TAB>label'", 2,
+        ),
+        (
+            "liwc", "%\n1\tposemo\n%\nhate\t9\n", UnknownCategoryIdError,
+            "line 4: category id '9' is not declared in the header", 4,
+        ),
+        ("liwc", "\n", MissingDelimiterError, "expected '%' opening the category section", None),
+    ],
+    ids=["nrc", "plain", "liwc", "liwc-without-content"],
+)
+def test_load_lexicon_names_the_file_and_a_loader_does_not(
+    tmp_path, fmt, text, error, message, line_number
+):
+    loader = {"nrc": load_nrc, "liwc": load_liwc, "plain": load_plain}[fmt]
+    with pytest.raises(error) as from_lines:
+        loader(io.StringIO(text))
+    assert (type(from_lines.value), str(from_lines.value)) == (error, message)
+    assert from_lines.value.line_number == line_number
+    path = tmp_path / "faulty.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as from_path:
+        load_lexicon(path, fmt)
+    assert (type(from_path.value), str(from_path.value)) == (error, f"{message} (in {path})")
+    assert from_path.value.line_number == line_number
+
+
+@pytest.mark.parametrize(
     "fmt, text",
     [("nrc", NRC_SAMPLE), ("liwc", LIWC_SAMPLE), ("plain", "café\tposemo\nbad\tnegemo\n")],
     ids=["nrc", "liwc", "plain"],
