@@ -69,6 +69,7 @@ class Contribution(NamedTuple):
 
 
 _BANDS = ("low", "high")
+_BAND_BLOCK = 1024  # labeled rows band-tested at a time
 
 
 class _Contributors(Sequence):
@@ -224,10 +225,13 @@ def label_dimensions(
             table raises ``TypeError``.
         lexicon: Source of word labels.
         theta: Band threshold, 0.5 < theta <= 1.0.
-        keep_contributors: Retain the band hits that per-dimension (word,
-            label, band) records are read from.  Costs memory proportional
-            to the number of hits; counts and all metrics are identical
-            either way.
+        keep_contributors: Retain what per-dimension (word, label, band)
+            records are read from: each labeled word with its sorted labels
+            and one integer code per band hit.  Counts and all metrics are
+            identical either way.
+
+    The band test holds one boolean matrix of hits over the labeled rows, plus one
+    of high-band hits only for contributors, and reads their values a block at a time.
     """
     _check_normalized(table)
     theta = as_theta(theta)
@@ -241,15 +245,22 @@ def label_dimensions(
     for row, word in enumerate(table.vocabulary):
         labels = lexicon.lookup(word)
         if labels:
-            labels = tuple(sorted(labels))
             pos = len(rows)
             for label in labels:
                 rows_of_label.setdefault(label, []).append(pos)
             rows.append(row)
-            words.append((word, labels))
-    values = table.vectors[rows]
-    high = values > theta.value
-    hit = high | (values < theta.low_cutoff)
+            if keep_contributors:
+                words.append((word, tuple(sorted(labels))))
+    hit = np.empty((len(rows), dim_count), dtype=bool)
+    high = np.empty_like(hit) if keep_contributors else None
+    for start in range(0, len(rows), _BAND_BLOCK):
+        part = slice(start, start + _BAND_BLOCK)
+        values = table.vectors[rows[part]]
+        above = values > theta.value
+        np.logical_or(above, values < theta.low_cutoff, out=hit[part])
+        if keep_contributors:
+            high[part] = above
+        del values, above  # freed before the next block is read
 
     # A label's count on a dimension is the number of its words in a band there.
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]

@@ -871,17 +871,23 @@ class TestOutputBytes:
 
 
 class TestMemory:
-    def test_load_normalized_holds_one_matrix(self, tmp_path):
-        """Parsing and normalizing allocate little beyond the matrix they return."""
+    @pytest.fixture(scope="class")
+    def embedding_file(self, tmp_path_factory):
+        """A 20,000 x 100 embedding file of the words w0, w1, ..."""
         values = io.StringIO()
         np.savetxt(values, np.random.default_rng(3).normal(size=(20_000, 100)), fmt="%.6f")
-        path = tmp_path / "emb.txt"
+        path = tmp_path_factory.mktemp("memory") / "emb.txt"
         path.write_text(
             "".join(f"w{i} {line}\n" for i, line in enumerate(values.getvalue().splitlines())),
             encoding="utf-8",
         )
-        del values
-        args = cli.build_parser().parse_args(["label", "-e", str(path), "-l", "unused:plain"])
+        return path
+
+    def test_load_normalized_holds_one_matrix(self, embedding_file):
+        """Parsing and normalizing allocate little beyond the matrix they return."""
+        args = cli.build_parser().parse_args(
+            ["label", "-e", str(embedding_file), "-l", "unused:plain"]
+        )
         tracemalloc.start()
         try:
             table = cli._load_normalized(args)
@@ -890,3 +896,19 @@ class TestMemory:
             tracemalloc.stop()
         assert table.vectors.shape == (20_000, 100)
         assert peak < 1.5 * table.vectors.nbytes
+
+    def test_label_run_holds_little_beyond_the_matrix(self, embedding_file, tmp_path):
+        """A whole label run that labels every word stays within the parse bound."""
+        lexicon = tmp_path / "all.dic"
+        lexicon.write_text("%\n1\tall\n%\nw*\t1\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        argv = ["label", "-e", str(embedding_file), "-l", f"{lexicon}:liwc", "-o", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.read_text(encoding="utf-8").count("\tall:") == 100
+        assert peak < 1.5 * 20_000 * 100 * 8  # the float64 matrix's bytes

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from lex2vec import (
     label_dimensions,
     top_k_frequent,
 )
-from lex2vec.labeling import ordered_labels
+from lex2vec.labeling import _BAND_BLOCK, ordered_labels
 from lex2vec.report import labeling_from_document, labeling_to_document
 
 from helpers import (
+    LABEL_POOL,
     brute_force_label_counts,
     brute_force_labeling,
     random_lexicon,
@@ -161,6 +163,35 @@ class TestLabelDimensions:
                 got = label_dimensions(table, lexicon, theta, keep_contributors=True)
                 assert list(got.per_dimension) == counts
                 assert [list(dim_records) for dim_records in got.contributors] == records
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_matches_brute_force_across_band_blocks(self, keep):
+        """More labeled rows than two band blocks, the last one partial, with
+        values on both cutoffs in the first and last row of every block."""
+        rng = np.random.default_rng(24)
+        theta, labeled = 0.75, 2 * _BAND_BLOCK + 37
+        # Unlabeled words between labeled ones, so a labeled word's place among
+        # the labeled rows differs from its table row.
+        vocabulary = []
+        for i in range(labeled):
+            vocabulary += [f"w{i}", f"u{i}"] if i % 3 == 0 else [f"w{i}"]
+        matrix = rng.choice((0.1, 0.25, 0.5, 0.75, 0.9), size=(len(vocabulary), 6))
+        edges = {0, _BAND_BLOCK - 1, _BAND_BLOCK, 2 * _BAND_BLOCK - 1, 2 * _BAND_BLOCK, labeled - 1}
+        on_cutoffs = [theta, 1 - theta, np.nextafter(theta, 1), np.nextafter(1 - theta, 0), 0.5, 1.0]
+        exact = {}
+        for row, word in enumerate(vocabulary):
+            if word.startswith("w"):
+                if len(exact) in edges:
+                    matrix[row] = on_cutoffs
+                exact[word] = frozenset(rng.choice(LABEL_POOL, size=int(rng.integers(1, 4))))
+        table = NormalizedEmbeddingTable(tuple(vocabulary), matrix)
+        counts, records = brute_force_labeling(vocabulary, matrix.tolist(), exact, (), theta)
+        got = label_dimensions(table, Lexicon("blocks", exact), theta, keep_contributors=keep)
+        assert list(got.per_dimension) == counts
+        if keep:
+            assert [list(dim_records) for dim_records in got.contributors] == records
+        else:
+            assert got.contributors is None
 
     def test_multi_label_words_count_once_per_label(self):
         table = NormalizedEmbeddingTable(("happy",), [[1.0]])
@@ -532,3 +563,35 @@ class TestLabelingProperties:
                 record for record in records[dim] if record[1] in kept
             ]
         assert labeling_from_document(labeling_to_document(capped)) == capped
+
+    @settings(max_examples=40)
+    @given(
+        instance=labeling_instances(),
+        theta=st.sampled_from([0.6, 0.75, 0.9]),
+        limit=st.integers(min_value=1, max_value=3),
+    )
+    def test_capped_contributors_match_brute_force_in_blocks_of_three(self, instance, theta, limit):
+        """The same property with band blocks small enough that the drawn
+        tables (up to 16 words) cross block edges."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("lex2vec.labeling._BAND_BLOCK", 3)
+            check = self.test_capped_contributors_match_brute_force.hypothesis.inner_test
+            check(self, instance, theta, limit)
+
+
+class TestLabelingMemory:
+    def test_band_test_copies_no_labeled_rows(self):
+        """Labeling a table whose every word is labeled allocates well under a
+        float64 copy of those rows."""
+        words = tuple(f"w{i}" for i in range(20_000))
+        table = NormalizedEmbeddingTable(words, np.random.default_rng(5).random((20_000, 100)))
+        lexicon = Lexicon("all", {}, (("w", frozenset({"x"})),))
+        tracemalloc.start()
+        try:
+            labeling = label_dimensions(table, lexicon, 0.75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        in_band = (table.vectors > 0.75) | (table.vectors < 0.25)
+        assert [counts["x"] for counts in labeling.per_dimension] == in_band.sum(axis=0).tolist()
+        assert peak < 0.5 * table.vectors.nbytes
