@@ -155,17 +155,17 @@ def _content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, raw
 
 
-# Decoding with errors="surrogateescape" turns each byte that is not valid
-# UTF-8 into one of these code points, so a search finds it at its own line.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# Decoding with errors="surrogateescape" turns each byte that is not valid UTF-8
+# into U+DC80 to U+DCFF, and no surrogate of a str source can be written as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _check_utf8(number: int, line: str, error: type[LineError] = MalformedLineError) -> None:
-    """Raise ``error`` naming the line if ``line`` holds a byte that is not UTF-8.
+    """Raise ``error`` naming the line if ``line`` holds a surrogate code point.
 
     The reason is the one a strict decode of the line's bytes gives.
     """
-    if _ESCAPED_BYTE.search(line):
+    if _SURROGATE.search(line):
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")
             reason = "surrogates not allowed"  # escaped bytes that form valid UTF-8
@@ -241,7 +241,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str
         words.append(parts[0])
         rests.append(parts[1] if len(parts) == 2 else "")
     block = None
-    if all(rests) and not _ESCAPED_BYTE.search("".join(words)):
+    if all(rests) and not _SURROGATE.search("".join(words)):
         try:
             block = _parse_numbers(rests, ndmin=2)
         except ValueError:
@@ -252,16 +252,14 @@ def _parse_chunk(chunk: list[tuple[int, str]], dim_count: int) -> tuple[list[str
 
 
 def _buffer_rows(chunk: list[tuple[int, str]], input_bytes: int) -> int:
-    """The rows to allocate once the first chunk is parsed.
+    """The rows to allocate with the first chunk: the input's size over the
+    chunk's mean bytes per line, plus a margin, and one chunk at least.
 
-    With the input's size known, that is the size over the chunk's mean bytes
-    per line, plus a margin; a Word2Vec header, being untrusted, never sizes
-    it.  Without a size (standard input, a pipe) the buffer starts at one
-    chunk and grows by doubling.
+    Without a size (standard input, a pipe) the buffer grows by doubling; a
+    Word2Vec header, being untrusted, never sizes it.  surrogatepass counts an
+    escaped byte as 3 bytes, leaving its error for the chunk's parse to name.
     """
-    if input_bytes <= 0:
-        return len(chunk)
-    line_bytes = sum(len(line.encode("utf-8")) for _, line in chunk) / len(chunk)
+    line_bytes = sum(len(line.encode("utf-8", "surrogatepass")) for _, line in chunk) / len(chunk)
     return max(int(input_bytes / line_bytes * (1 + _ESTIMATE_MARGIN)), len(chunk))
 
 
@@ -275,9 +273,9 @@ def parse_embeddings(
 
     Args:
         source: Lines of text (an open file, ``io.StringIO``, or a list).  A
-            UTF-8 byte-order mark at the start is dropped.  A byte that is not
-            UTF-8, as ``errors="surrogateescape"`` decodes it (U+DC80 to
-            U+DCFF), is an error of its line.
+            UTF-8 byte-order mark at the start is dropped.  Any surrogate code
+            point, as ``errors="surrogateescape"`` makes of a byte that is not
+            UTF-8, is an error of its line.
         fmt: Input layout; ``AUTO`` decides from the first non-blank line.
 
     Returns:
@@ -316,11 +314,10 @@ def _parse(
     else:
         lines = itertools.chain([first], lines)
 
-    words: list[str] = []
-    seen: set[str] = set()
-    # Rows are copied into one buffer, allocated after the first chunk and
-    # grown in place (realloc) if it runs short, so each chunk's block is freed
-    # before the next is parsed and the matrix is never held twice.
+    words: dict[str, None] = {}  # the vocabulary, in file order
+    # Rows are copied into one buffer, allocated with the first chunk and grown
+    # in place (realloc) if it runs short, so each chunk's block is freed before
+    # the next is parsed and the matrix is never held twice.
     vectors = None
     data_lines = 0
     for chunk in iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []):
@@ -334,19 +331,16 @@ def _parse(
                 raise DimensionMismatchError(
                     f"header declares {header[1]} dimensions but data has {dim_count}", number
                 )
+            vectors = np.empty((_buffer_rows(chunk, input_bytes), dim_count), dtype=np.float64)
         data_lines += len(chunk)
         chunk_words, block = _parse_chunk(chunk, dim_count)
+        start = len(words)
         keep = []
         for row, word in enumerate(chunk_words):
-            if word not in seen:
-                seen.add(word)
-                words.append(word)
+            if word not in words:
+                words[word] = None
                 keep.append(row)
-        start = len(words) - len(keep)
-        if vectors is None:
-            rows = _buffer_rows(chunk, input_bytes)
-            vectors = np.empty((rows, dim_count), dtype=np.float64)
-        elif len(words) > len(vectors):
+        if len(words) > len(vectors):
             # refcheck=False: the buffer is local and no view of it exists yet.
             vectors.resize((2 * len(vectors), dim_count), refcheck=False)
         vectors[start : len(words)] = block if len(keep) == len(chunk) else block[keep]
@@ -366,7 +360,7 @@ def _parse(
         _min_max_scale(vectors, vectors, scope)
     vectors.setflags(write=False)
     table = EmbeddingTable if scope is None else NormalizedEmbeddingTable
-    # seen and str.split made the words unique, non-empty, whitespace-free str.
+    # The dict and str.split made the words unique, non-empty, whitespace-free str.
     return table(_Vocabulary(words), vectors, duplicates_skipped=duplicates)
 
 
@@ -428,6 +422,10 @@ def _min_max_scale(values: np.ndarray, out: np.ndarray, scope: NormalizationScop
     # min() and max() propagate NaN, so the extremes show any non-finite value.
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NonFiniteValueError("cannot normalize a table with NaN or infinite values")
+    # A group whose span overflows float64 is scaled from its halved values, exactly.
+    half = np.where(hi / 2 - lo / 2 > np.finfo(np.float64).max / 2, 0.5, 1.0)
+    if (half < 1).any():  # only then is the matrix passed over once more
+        values, lo, hi = np.multiply(values, half, out=out), lo * half, hi * half
 
     span = hi - lo
     degenerate = span == 0.0

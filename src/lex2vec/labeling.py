@@ -265,7 +265,9 @@ def label_dimensions(
     # A label's count on a dimension is the number of its words in a band there.
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]
     for label in sorted(rows_of_label):
-        counts = np.count_nonzero(hit[rows_of_label[label]], axis=0)
+        label_rows = rows_of_label[label]  # counted a block at a time, as they are band-tested
+        parts = range(0, len(label_rows), _BAND_BLOCK)
+        counts = sum(np.count_nonzero(hit[label_rows[i : i + _BAND_BLOCK]], axis=0) for i in parts)
         dims = np.flatnonzero(counts)
         for dim, count in zip(dims.tolist(), counts[dims].tolist()):
             per_dim[dim][label] = count

@@ -59,6 +59,16 @@ class TestLabelCommand:
         assert code == 0
         assert out == EXPECTED_LABEL_TSV
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_finite_table_whose_range_overflows_labels_cleanly(self, workdir, capsys):
+        (workdir / "huge.txt").write_text("a 1.7e308 0.1\nb -1.7e308 0.9\nc 0.0 0.5\n", "utf-8")
+        (workdir / "abc.tsv").write_text("a\tx\nb\ty\nc\tz\n", "utf-8")
+        code, out, err = run(capsys, [
+            "label", "-e", str(workdir / "huge.txt"), "-l", f"{workdir / 'abc.tsv'}:plain",
+        ])
+        assert (code, err) == (0, "")
+        assert out == "0\tx+y\tx:1,y:1\n1\tx+y\tx:1,y:1\n"
+
     def test_nrc_and_liwc_agree_here(self, workdir, capsys):
         _, out_nrc, _ = run(capsys, [
             "label", "-e", str(workdir / "emb.txt"), "-l", f"{workdir / 'nrc.txt'}:nrc",

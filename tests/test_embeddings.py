@@ -287,6 +287,22 @@ class TestChunkedParse:
         with pytest.raises(MalformedLineError, match=f"^{re.escape(message)}$"):
             parse_embeddings(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "text, line_number",
+        [
+            ("w\ud800 1.0\n", 1),
+            ("good 1.0\nw\udc7f 1.0\n", 2),
+            ("good 1.0\nw 1.0\udd00\n", 2),
+            ("good 1.0\nw 1.0 \udfff\n", 2),
+        ],
+        ids=["word-first-line", "word", "value", "token"],
+    )
+    def test_a_lone_surrogate_is_an_error_of_its_line(self, text, line_number):
+        # Only U+DC80 to U+DCFF come from decoding a byte; no surrogate has UTF-8.
+        message = f"^line {line_number}: invalid UTF-8 \\(surrogates not allowed\\)$"
+        with pytest.raises(MalformedLineError, match=message):
+            parse_embeddings(io.StringIO(text))
+
     def test_duplicate_of_word_from_earlier_chunk(self):
         lines = numbered_lines(9000)
         lines[5000] = "w3 99.0 99.0\n"
@@ -530,6 +546,24 @@ class TestNormalize:
         message = "^cannot normalize a table with NaN or infinite values$"
         with pytest.raises(NonFiniteValueError, match=message):
             normalize(table, scope=scope)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scope, vectors, expected",
+        [
+            ("dimension", [[1.7e308, 0.1], [-1.7e308, 0.9], [0.0, 0.5]],
+             [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+            ("word", [[1.7e308, -1.7e308, 0.0], [0.1, 0.9, 0.5]],
+             [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
+            ("global", [[1.7e308, 0.1], [-1.7e308, 0.9], [0.0, 0.5]],
+             [[1.0, 0.5], [0.0, 0.5], [0.5, 0.5]]),
+        ],
+        ids=["dimension", "word", "global"],
+    )
+    def test_a_finite_range_that_overflows_float64_rescales(self, scope, vectors, expected):
+        table = EmbeddingTable(tuple("abc"[: len(vectors)]), vectors)
+        normed = normalize(table, scope=scope)
+        np.testing.assert_array_equal(normed.vectors, expected)
 
     def test_word_scope_scales_rows(self):
         table = EmbeddingTable(("a", "b"), [[0.0, 10.0], [5.0, 5.0]])

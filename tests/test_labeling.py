@@ -582,16 +582,21 @@ class TestLabelingProperties:
 class TestLabelingMemory:
     def test_band_test_copies_no_labeled_rows(self):
         """Labeling a table whose every word is labeled allocates well under a
-        float64 copy of those rows."""
+        float64 copy of those rows; at 300 dimensions, a copy of the boolean
+        hits of a label that every word carries is more than a quarter of it."""
         words = tuple(f"w{i}" for i in range(20_000))
-        table = NormalizedEmbeddingTable(words, np.random.default_rng(5).random((20_000, 100)))
         lexicon = Lexicon("all", {}, (("w", frozenset({"x"})),))
-        tracemalloc.start()
-        try:
-            labeling = label_dimensions(table, lexicon, 0.75)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        in_band = (table.vectors > 0.75) | (table.vectors < 0.25)
-        assert [counts["x"] for counts in labeling.per_dimension] == in_band.sum(axis=0).tolist()
-        assert peak < 0.5 * table.vectors.nbytes
+        for dim_count, bound in ((100, 0.5), (300, 0.25)):
+            vectors = np.random.default_rng(5).random((20_000, dim_count))
+            vectors.setflags(write=False)
+            table = NormalizedEmbeddingTable(words, vectors)
+            tracemalloc.start()
+            try:
+                labeling = label_dimensions(table, lexicon, 0.75)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            in_band = (table.vectors > 0.75) | (table.vectors < 0.25)
+            counts = [per_label["x"] for per_label in labeling.per_dimension]
+            assert counts == in_band.sum(axis=0).tolist()
+            assert peak < bound * table.vectors.nbytes, dim_count

@@ -100,6 +100,22 @@ class TestLoadNrc:
         assert lex.exact_entries == {"good": frozenset({"joy", "trust"})}
 
 
+@pytest.mark.parametrize(
+    "loader, text, line_number",
+    [
+        (load_nrc, "good\tjoy\t1\nw\ud800\tjoy\t1\n", 2),
+        (load_plain, "good\tjoy\nw\tj\udbffoy\n", 2),
+        (load_liwc, "%\n1\tposemo\n%\nw\udfff\t1\n", 4),
+    ],
+    ids=["nrc", "plain", "liwc"],
+)
+def test_a_lone_surrogate_is_an_error_of_its_line(loader, text, line_number):
+    # Only U+DC80 to U+DCFF come from decoding a byte; no surrogate has UTF-8.
+    message = f"^line {line_number}: invalid UTF-8 \\(surrogates not allowed\\)$"
+    with pytest.raises(MalformedLexiconLineError, match=message):
+        loader(io.StringIO(text))
+
+
 class TestLoadLiwc:
     def test_wildcard_becomes_prefix(self):
         lex = load_liwc(io.StringIO(LIWC_SAMPLE))
