@@ -175,13 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_normalized(args: argparse.Namespace) -> NormalizedEmbeddingTable:
     # The parser rescales its own buffer, so the matrix is held once.
-    fmt = EmbeddingFormat(args.embedding_format)
     if args.embeddings == "-":
         # Read like a path: lines end at "\n" only, and the parser names the
         # line of a byte that is not UTF-8.
         lines = (line.decode("utf-8", "surrogateescape") for line in sys.stdin.buffer)
-        return parse_embeddings(lines, fmt, _scope=args.norm_scope)
-    return read_embeddings(args.embeddings, fmt, _scope=args.norm_scope)
+        return parse_embeddings(lines, args.embedding_format, _scope=args.norm_scope)
+    return read_embeddings(args.embeddings, args.embedding_format, _scope=args.norm_scope)
 
 
 def _compute(

@@ -265,7 +265,7 @@ def _buffer_rows(chunk: list[tuple[int, str]], input_bytes: int) -> int:
 
 def parse_embeddings(
     source: Iterable[str],
-    fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
+    fmt: EmbeddingFormat | str = EmbeddingFormat.AUTO,
     *,
     _scope: NormalizationScope | None = None,
 ) -> EmbeddingTable:
@@ -276,7 +276,8 @@ def parse_embeddings(
             UTF-8 byte-order mark at the start is dropped.  Any surrogate code
             point, as ``errors="surrogateescape"`` makes of a byte that is not
             UTF-8, is an error of its line.
-        fmt: Input layout; ``AUTO`` decides from the first non-blank line.
+        fmt: Input layout, an :class:`EmbeddingFormat` or its value (any other
+            raises ``ValueError``); ``AUTO`` decides from the first non-blank line.
 
     Returns:
         The parsed table.  Vocabulary order equals file order; when a word
@@ -295,13 +296,14 @@ def parse_embeddings(
 
 def _parse(
     source: Iterable[str],
-    fmt: EmbeddingFormat,
+    fmt: EmbeddingFormat | str,
     input_bytes: int,
     scope: NormalizationScope | None,
 ) -> EmbeddingTable:
     # input_bytes sizes the row buffer; 0 when the size is unknown.  With a
     # scope the buffer is min-max rescaled before it is frozen, and the table is
     # a NormalizedEmbeddingTable: the caller gets the matrix once, not twice.
+    fmt = EmbeddingFormat(fmt)
     lines = _content_lines(source)
     first = next(lines, None)
     if first is None:
@@ -366,7 +368,7 @@ def _parse(
 
 def read_embeddings(
     path: str | Path,
-    fmt: EmbeddingFormat = EmbeddingFormat.AUTO,
+    fmt: EmbeddingFormat | str = EmbeddingFormat.AUTO,
     *,
     _scope: NormalizationScope | None = None,
 ) -> EmbeddingTable:
@@ -436,7 +438,7 @@ def _min_max_scale(values: np.ndarray, out: np.ndarray, scope: NormalizationScop
 
 def emit_embeddings(
     table: EmbeddingTable,
-    fmt: EmbeddingFormat = EmbeddingFormat.GLOVE_TEXT,
+    fmt: EmbeddingFormat | str = EmbeddingFormat.GLOVE_TEXT,
     precision: int | None = None,
 ) -> str:
     """Serialize a table back to its text form.
@@ -444,8 +446,10 @@ def emit_embeddings(
     ``precision`` fixes the number of decimal places; ``None`` uses Python's
     shortest round-trip representation, so ``parse_embeddings`` recovers the
     exact values.  A NaN or infinite value, which the parser would refuse,
-    raises :class:`NonFiniteValueError` naming the first such word.
+    raises :class:`NonFiniteValueError` naming the first such word.  ``fmt`` is a
+    format or its value; ``AUTO`` or any other value raises ``ValueError``.
     """
+    fmt = EmbeddingFormat(fmt)
     if fmt is EmbeddingFormat.AUTO:
         raise ValueError("emit requires a concrete format, not AUTO")
     finite = np.isfinite(table.vectors).all(axis=1)

@@ -230,8 +230,8 @@ def label_dimensions(
             and one integer code per band hit.  Counts and all metrics are
             identical either way.
 
-    The band test holds one boolean matrix of hits over the labeled rows, plus one
-    of high-band hits only for contributors, and reads their values a block at a time.
+    The band test holds one int8 matrix of band codes over the labeled rows, read by
+    the counts and the contributor records alike, and reads their values a block at a time.
     """
     _check_normalized(table)
     theta = as_theta(theta)
@@ -251,23 +251,19 @@ def label_dimensions(
             rows.append(row)
             if keep_contributors:
                 words.append((word, tuple(sorted(labels))))
-    hit = np.empty((len(rows), dim_count), dtype=bool)
-    high = np.empty_like(hit) if keep_contributors else None
+    band = np.empty((len(rows), dim_count), dtype=np.int8)  # +1 high, -1 low, 0 neither
     for start in range(0, len(rows), _BAND_BLOCK):
         part = slice(start, start + _BAND_BLOCK)
         values = table.vectors[rows[part]]
-        above = values > theta.value
-        np.logical_or(above, values < theta.low_cutoff, out=hit[part])
-        if keep_contributors:
-            high[part] = above
-        del values, above  # freed before the next block is read
+        np.subtract(values > theta.value, values < theta.low_cutoff, out=band[part], dtype=np.int8)
+        del values  # freed before the next block is read
 
     # A label's count on a dimension is the number of its words in a band there.
     per_dim: list[dict[str, int]] = [{} for _ in range(dim_count)]
     for label in sorted(rows_of_label):
         label_rows = rows_of_label[label]  # counted a block at a time, as they are band-tested
         parts = range(0, len(label_rows), _BAND_BLOCK)
-        counts = sum(np.count_nonzero(hit[label_rows[i : i + _BAND_BLOCK]], axis=0) for i in parts)
+        counts = sum(np.count_nonzero(band[label_rows[i : i + _BAND_BLOCK]], axis=0) for i in parts)
         dims = np.flatnonzero(counts)
         for dim, count in zip(dims.tolist(), counts[dims].tolist()):
             per_dim[dim][label] = count
@@ -275,9 +271,9 @@ def label_dimensions(
     contributors = None
     if keep_contributors:
         # Records are read from the hits on demand, one dimension at a time.
-        cols, entries = np.nonzero(hit.T)
-        codes = 2 * entries + high[entries, cols]
-        bounds = np.cumsum(np.count_nonzero(hit, axis=0))[:-1]
+        cols, entries = np.nonzero(band.T)
+        codes = 2 * entries + (band[entries, cols] > 0)
+        bounds = np.cumsum(np.count_nonzero(band, axis=0))[:-1]
         contributors = _Contributors(words, np.split(codes, bounds), per_dim)
 
     return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)

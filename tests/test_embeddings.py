@@ -75,6 +75,24 @@ class TestParse:
         assert glove.vocabulary == w2v.vocabulary
         np.testing.assert_array_equal(glove.vectors, w2v.vectors)
 
+    @pytest.mark.parametrize("fmt", ["word2vec", "auto"])
+    def test_a_format_given_by_its_value_is_honoured(self, tmp_path, fmt):
+        path = tmp_path / "vectors.txt"
+        path.write_text(W2V_TWO_LINES, encoding="utf-8")
+        for table in (read_embeddings(path, fmt), parse_embeddings(io.StringIO(W2V_TWO_LINES), fmt)):
+            assert table.vocabulary == ("good", "bad")
+            np.testing.assert_array_equal(table.vectors, [[1.0, 0.0], [-1.0, 0.5]])
+
+    @pytest.mark.parametrize("fmt", ["bogus", None])
+    def test_a_value_that_names_no_format_raises(self, tmp_path, fmt):
+        path = tmp_path / "vectors.txt"
+        path.write_text(GLOVE_TWO_LINES, encoding="utf-8")
+        message = f"^{re.escape(repr(fmt))} is not a valid EmbeddingFormat$"
+        with pytest.raises(ValueError, match=message):
+            read_embeddings(path, fmt)
+        with pytest.raises(ValueError, match=message):
+            parse_embeddings(io.StringIO(GLOVE_TWO_LINES), fmt)
+
     def test_short_line_reports_line_number(self):
         with pytest.raises(MalformedLineError) as excinfo:
             parse_embeddings(io.StringIO("good 1.0 0.0\nbad -1.0\n"))
@@ -718,6 +736,16 @@ class TestEmitRoundTrip:
         table = EmbeddingTable(("a",), [[1.0]])
         with pytest.raises(ValueError):
             emit_embeddings(table, EmbeddingFormat.AUTO)
+
+    def test_a_format_given_by_its_value_is_honoured(self):
+        table = EmbeddingTable(("a", "b"), [[1.0, 2.0], [3.0, 4.0]])
+        assert emit_embeddings(table, "word2vec") == "2 2\na 1.0 2.0\nb 3.0 4.0\n"
+        assert emit_embeddings(table, "glove") == "a 1.0 2.0\nb 3.0 4.0\n"
+
+    @pytest.mark.parametrize("fmt", ["auto", "bogus", None])
+    def test_emit_refuses_a_value_that_names_no_concrete_format(self, fmt):
+        with pytest.raises(ValueError):
+            emit_embeddings(EmbeddingTable(("a",), [[1.0]]), fmt)
 
     def test_file_round_trip(self, tmp_path):
         table = EmbeddingTable(("alpha", "beta"), [[0.5, -1.25], [3.0, 2.0]])

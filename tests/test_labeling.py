@@ -183,7 +183,9 @@ class TestLabelDimensions:
             if word.startswith("w"):
                 if len(exact) in edges:
                     matrix[row] = on_cutoffs
-                exact[word] = frozenset(rng.choice(LABEL_POOL, size=int(rng.integers(1, 4))))
+                drawn = rng.choice(LABEL_POOL, size=int(rng.integers(1, 4)))
+                # "every" labels each word, so its rows span all three blocks.
+                exact[word] = frozenset(drawn) | {"every"}
         table = NormalizedEmbeddingTable(tuple(vocabulary), matrix)
         counts, records = brute_force_labeling(vocabulary, matrix.tolist(), exact, (), theta)
         got = label_dimensions(table, Lexicon("blocks", exact), theta, keep_contributors=keep)
