@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .embeddings import (
     _SCOPE_AXES,
@@ -27,8 +27,8 @@ from .labeling import DimensionLabeling, Theta, cap_labels, label_dimensions
 from .lexicon import LEXICON_FORMATS, Lexicon, load_lexicon, merge_lexicons
 from .metrics import AVG_MODES, SweepReport, coverage, sweep
 from .report import (
+    _labeling_json_parts,
     dumps_document,
-    render_labeling_json,
     render_labeling_tsv,
     render_sweep_tsv,
     report_to_document,
@@ -197,15 +197,25 @@ def _compute(
     return labeling if args.label_filter is None else cap_labels(labeling, args.label_filter)
 
 
-def _render(args: argparse.Namespace, result: DimensionLabeling | SweepReport) -> str:
-    """label prints the labeling; metrics prints its coverage row as sweep prints rows."""
+def _render(args: argparse.Namespace, result: DimensionLabeling | SweepReport) -> Iterable[str]:
+    """The output text in parts: label's JSON document a dimension at a time, any other
+    output as one part.  metrics prints its coverage row as sweep prints rows."""
     if args.command == "label":
-        return render_labeling_json(result) if args.json_output else render_labeling_tsv(result)
+        if args.json_output:
+            return _labeling_json_parts(result)
+        return (render_labeling_tsv(result),)
     if args.command == "metrics":
         result = SweepReport((coverage(result, args.distinct_labels),))
     if args.json_output:
-        return dumps_document(report_to_document(result))
-    return render_sweep_tsv(result, avg_mode=args.avg_mode)
+        return (dumps_document(report_to_document(result)),)
+    return (render_sweep_tsv(result, avg_mode=args.avg_mode),)
+
+
+def _write(parts: Iterable[str], stream: BinaryIO) -> None:
+    # UTF-8 whatever the locale, so stdout and -o carry the same bytes; a part at a
+    # time, so the whole text is never held twice.
+    for part in parts:
+        stream.write(part.encode("utf-8"))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -220,16 +230,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = _compute(args, table, lexicons)
         # Rendering needs neither input; freeing them first lowers peak memory.
         del table, lexicons
-        # UTF-8 whatever the locale, so stdout and -o carry the same bytes.
-        data = _render(args, result).encode("utf-8")
+        parts = _render(args, result)
         stage = "write"
         if args.output is None or args.output == "-":
             sys.stdout.flush()
-            sys.stdout.buffer.write(data)
+            _write(parts, sys.stdout.buffer)
             sys.stdout.buffer.flush()
         else:
             with open(args.output, "wb") as stream:
-                stream.write(data)
+                _write(parts, stream)
     except (Lex2vecError, OSError, ValueError) as exc:
         print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
         return 1

@@ -72,42 +72,67 @@ _BANDS = ("low", "high")
 _BAND_BLOCK = 1024  # labeled rows band-tested at a time
 
 
+class _Pairs(NamedTuple):
+    """The (word, label) pairs of the labeled words, as index arrays.
+
+    ``words[e]`` is a labeled word, and its pairs are ``offsets[e]:offsets[e + 1]``, in
+    sorted-label order; ``label_ids[p]`` is pair ``p``'s label, interned by ``ids``.
+    """
+
+    words: list[str]
+    offsets: np.ndarray
+    label_ids: np.ndarray
+    ids: dict[str, int]
+
+
 class _Contributors(Sequence):
     """Contributor records per dimension, built from band hits when read.
 
-    ``words[e]`` is a labeled word with its sorted labels, and ``hits[j]`` is
-    a numpy array coding dimension ``j``'s hits as ``2 * e + is_high`` in
-    vocabulary order.  Each hit yields one record for each of its word's
-    labels that ``counts[j]`` holds, so a label whose count is dropped loses
-    its records without any record being built or filtered.
+    ``hits[j]`` is a numpy array coding dimension ``j``'s hits as ``2 * e + is_high``
+    for entry ``e`` of ``pairs``, in vocabulary order.  Each hit yields one record for
+    each of its word's labels that ``counts[j]`` holds, so a label whose count is
+    dropped loses its records without any record being built or filtered.
     """
 
-    def __init__(self, words, hits, counts):
-        self.words, self.hits, self.counts = words, hits, counts
+    def __init__(self, pairs: _Pairs, hits, counts):
+        self.pairs, self.hits, self.counts = pairs, hits, counts
 
     def __len__(self) -> int:
         return len(self.hits)
+
+    def _kept(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Dimension ``index``'s records as arrays of pair indices and high-band bits."""
+        offsets, ids = self.pairs.offsets, self.pairs.ids
+        codes = self.hits[index]
+        entries = codes >> 1
+        starts = offsets[entries]
+        sizes = offsets[entries + 1] - starts
+        # Each hit expands to its entry's run of pairs.
+        pairs = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        keep = np.isin(self.pairs.label_ids[pairs], [ids[label] for label in self.counts[index]])
+        return pairs[keep], np.repeat(codes & 1, sizes)[keep]
 
     def __getitem__(self, index: int | slice) -> tuple:
         index = range(len(self))[index]
         if isinstance(index, range):  # a slice: one record tuple per dimension
             return tuple(map(self.__getitem__, index))
-        words, counts = self.words, self.counts[index]
-        records = []
-        for code in self.hits[index].tolist():
-            word, labels = words[code >> 1]
-            band = _BANDS[code & 1]
-            for label in labels:
-                if label in counts:
-                    records.append(Contribution(word, label, band))
-        return tuple(records)
+        words, offsets, label_ids, ids = self.pairs
+        names = tuple(ids)
+        pairs, is_high = self._kept(index)
+        entries = np.searchsorted(offsets, pairs, side="right") - 1
+        return tuple(
+            Contribution(words[entry], names[label], _BANDS[high])
+            for entry, label, high in zip(
+                entries.tolist(), label_ids[pairs].tolist(), is_high.tolist()
+            )
+        )
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and tuple(self) == tuple(map(tuple, other))
 
 
 def _given_records(contributors, counts) -> _Contributors:
-    """Hits for records passed in from outside, one single-label hit each.
+    """Hits for records passed in from outside, one single-label entry each.
 
     Each dimension's label tally must equal its counts, which also rejects a
     label it does not count; each word must be a ``str``, each band ``high`` or ``low``.
@@ -116,7 +141,9 @@ def _given_records(contributors, counts) -> _Contributors:
     given = tuple(contributors)
     if len(given) != len(counts):
         raise ValueError("contributor records do not cover every dimension")
-    words: list[tuple[str, tuple[str]]] = []
+    words: list[str] = []
+    label_ids: list[int] = []
+    ids: dict[str, int] = {}
     hits = []
     for index, (records, dim_counts) in enumerate(zip(given, counts)):
         tally: dict[str, int] = {}
@@ -130,11 +157,13 @@ def _given_records(contributors, counts) -> _Contributors:
                 raise TypeError(f"dimension {index}: contributor word {word!r} must be a str")
             tally[label] = tally.get(label, 0) + 1
             codes.append(2 * len(words) + (band == "high"))
-            words.append((word, (label,)))
+            words.append(word)
+            label_ids.append(ids.setdefault(label, len(ids)))
         if tally != dim_counts:
             raise ValueError(f"dimension {index}: contributor records disagree with label counts")
         hits.append(np.array(codes, dtype=np.int64))
-    return _Contributors(words, hits, counts)
+    offsets = np.arange(len(words) + 1)
+    return _Contributors(_Pairs(words, offsets, np.array(label_ids, np.int64), ids), hits, counts)
 
 
 def _positive_int(value, name: str, label: object = None) -> int:
@@ -187,7 +216,7 @@ class DimensionLabeling:
         ):
             # Hits hold every record of the counts they were computed with,
             # so a kept count keeps its records and needs no tally.
-            contributors = _Contributors(contributors.words, contributors.hits, per_dim)
+            contributors = _Contributors(contributors.pairs, contributors.hits, per_dim)
         elif contributors is not None:
             contributors = _given_records(contributors, per_dim)
 
@@ -226,9 +255,9 @@ def label_dimensions(
         lexicon: Source of word labels.
         theta: Band threshold, 0.5 < theta <= 1.0.
         keep_contributors: Retain what per-dimension (word, label, band)
-            records are read from: each labeled word with its sorted labels
-            and one integer code per band hit.  Counts and all metrics are
-            identical either way.
+            records are read from: each labeled word, the offsets and label
+            ids of its (word, label) pairs, and one integer code per band
+            hit.  Counts and all metrics are identical either way.
 
     The band test holds one int8 matrix of band codes over the labeled rows, read by
     the counts and the contributor records alike, and reads their values a block at a time.
@@ -240,8 +269,12 @@ def label_dimensions(
     # Only words the lexicon knows can contribute, so the band test runs on their
     # rows alone; each label keeps the positions of its words among those rows.
     rows: list[int] = []
-    words: list[tuple[str, tuple[str, ...]]] = []
     rows_of_label: dict[str, list[int]] = {}
+    # Contributor pairs: each labeled word, its number of labels, and their label ids.
+    words: list[str] = []
+    sizes: list[int] = [0]  # led by 0, so its cumulative sum is each word's pair offsets
+    label_ids: list[int] = []
+    ids: dict[str, int] = {}
     for row, word in enumerate(table.vocabulary):
         labels = lexicon.lookup(word)
         if labels:
@@ -250,7 +283,9 @@ def label_dimensions(
                 rows_of_label.setdefault(label, []).append(pos)
             rows.append(row)
             if keep_contributors:
-                words.append((word, tuple(sorted(labels))))
+                words.append(word)
+                sizes.append(len(labels))
+                label_ids.extend(ids.setdefault(label, len(ids)) for label in sorted(labels))
     band = np.empty((len(rows), dim_count), dtype=np.int8)  # +1 high, -1 low, 0 neither
     for start in range(0, len(rows), _BAND_BLOCK):
         part = slice(start, start + _BAND_BLOCK)
@@ -271,10 +306,13 @@ def label_dimensions(
     contributors = None
     if keep_contributors:
         # Records are read from the hits on demand, one dimension at a time.
-        cols, entries = np.nonzero(band.T)
-        codes = 2 * entries + (band[entries, cols] > 0)
-        bounds = np.cumsum(np.count_nonzero(band, axis=0))[:-1]
-        contributors = _Contributors(words, np.split(codes, bounds), per_dim)
+        pairs = _Pairs(words, np.cumsum(sizes), np.array(label_ids, np.int64), ids)
+        del rows, rows_of_label, sizes, label_ids  # freed before the hits are held
+        hits = []
+        for column in band.T:
+            entries = np.flatnonzero(column)
+            hits.append(2 * entries + (column[entries] > 0))
+        contributors = _Contributors(pairs, hits, per_dim)
 
     return DimensionLabeling(tuple(per_dim), theta, lexicon.resource_name, contributors)
 

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import operator
 from json.encoder import encode_basestring
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .labeling import DimensionLabeling, ordered_labels
 from .metrics import SweepReport, SweepRow, _check_avg_mode, coverage
@@ -80,21 +80,29 @@ def render_labeling_json(labeling: DimensionLabeling) -> str:
 
     The text is exactly ``json.dumps(document, indent=2, ensure_ascii=False,
     allow_nan=False) + "\\n"`` for the document :func:`labeling_to_document`
-    returns, and this is the one statement of its fixed layout: the metric
-    fields of :func:`coverage`, then per dimension its index, name, ranked
-    labels and, when retained, its contributor records.  Strings are escaped
-    by ``encode_basestring``, as ``json.dumps`` escapes them.
+    returns, and :func:`_labeling_json_parts` is the one statement of its fixed layout.
+    """
+    return "".join(_labeling_json_parts(labeling))
+
+
+def _labeling_json_parts(labeling: DimensionLabeling) -> Iterator[str]:
+    """The text of :func:`render_labeling_json` a dimension at a time: the metric
+    fields of :func:`coverage`, then per dimension its index, name, ranked labels
+    and, when retained, its contributor records, then the closing brackets.
+    Strings are escaped by ``encode_basestring``, as ``json.dumps`` escapes them.
     """
     quote = encode_basestring
     row = coverage(labeling)
-    parts = [
+    yield (
         f'{{\n  "theta": {_number(row.theta)},\n  "resource": {quote(row.resource)},'
         f'\n  "dim_count": {labeling.dim_count},'
         f'\n  "unnamed_ratio": {_number(row.unnamed_ratio)},'
         f'\n  "avg_labels_all": {_number(row.avg_labels_all)},'
         f'\n  "avg_labels_named": {_number(row.avg_labels_named)},\n  "dimensions": ['
-    ]
+    )
     contributors = labeling.contributors
+    if contributors is not None:
+        fragments = _record_fragments(contributors, labeling.per_dimension)
     for index, counts in enumerate(labeling.per_dimension):
         ranked = ordered_labels(counts)
         labels = ",".join(
@@ -107,15 +115,30 @@ def render_labeling_json(labeling: DimensionLabeling) -> str:
             f'\n      "name": {quote(_name(ranked))},\n      "labels": {_array(labels)}'
         )
         if contributors is not None:
-            records = ",".join(
-                f'\n        {{\n          "word": {quote(word)},\n          "label": {quote(label)},'
-                f'\n          "band": {quote(band)}\n        }}'
-                for word, label, band in contributors[index]
-            )
+            pairs, is_high = contributors._kept(index)
+            records = ",".join(map(fragments.__getitem__, (2 * pairs + is_high).tolist()))
             entry += f',\n      "contributors": {_array(records)}'
-        parts.append(entry + "\n    }")
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+        yield entry + "\n    }"
+    yield "\n  ]\n}\n"
+
+
+def _record_fragments(contributors, per_dimension) -> list[str | None]:
+    """Each contributor record's text at ``2 * pair + is_high``, built only for the
+    pairs whose label some dimension counts; ``None`` for the other pairs."""
+    words, offsets, label_ids, ids = contributors.pairs
+    counted = set().union(*per_dimension)
+    labels = [encode_basestring(label) if label in counted else None for label in ids]
+    pair_labels, bounds = label_ids.tolist(), offsets.tolist()
+    fragments: list[str | None] = [None] * (2 * len(pair_labels))
+    for entry, word in enumerate(words):
+        word = encode_basestring(word)
+        for pair in range(bounds[entry], bounds[entry + 1]):
+            label = labels[pair_labels[pair]]
+            if label is not None:
+                head = f'\n        {{\n          "word": {word},\n          "label": {label},'
+                fragments[2 * pair] = f'{head}\n          "band": "low"\n        }}'
+                fragments[2 * pair + 1] = f'{head}\n          "band": "high"\n        }}'
+    return fragments
 
 
 def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:

@@ -358,6 +358,28 @@ class TestFailureModes:
         assert out == ""
         assert "write error" in err
 
+    @pytest.mark.parametrize("stage", ["parse", "lexicon", "label"])
+    def test_a_failed_contributor_run_writes_nothing(self, workdir, monkeypatch, stage):
+        """The output is opened only once the labeling is made, so a run that fails
+        before then prints no byte, creates no -o file and leaves one there as it was."""
+        bad = workdir / "bad.txt"
+        bad.write_text("good 1.0\nbad\n", encoding="utf-8")
+        embeddings = bad if stage == "parse" else workdir / "emb.txt"
+        lexicon = bad if stage == "lexicon" else workdir / "lex.tsv"
+        if stage == "label":
+            def fail(*args, **kwargs):
+                raise ValueError("no labeling")
+            monkeypatch.setattr(cli, "label_dimensions", fail)
+        argv = ["label", "--json", "--contributors", "-e", str(embeddings), "-l", f"{lexicon}:plain"]
+        new, kept = workdir / "new.json", workdir / "kept.json"
+        kept.write_bytes(b"earlier output\n")
+        for target in ([], ["-o", str(new)], ["-o", str(kept)]):
+            code, out, err = run_bytes([*argv, *target])
+            assert (code, out) == (1, b"")
+            assert err.startswith(f"lex2vec: {stage} error: ")
+        assert not new.exists()
+        assert kept.read_bytes() == b"earlier output\n"
+
     def test_missing_embeddings_exits_1_with_stage_and_path(self, workdir, capsys):
         code, _, err = run(capsys, [
             "label", "-e", str(workdir / "nope.txt"), "-l", f"{workdir / 'lex.tsv'}:plain",
@@ -588,7 +610,7 @@ class TestFailureModes:
         assert "lexicon error" in err
         assert "line 1" in err
 
-    @pytest.mark.parametrize("spec", ["no-format-here", "x.tsv:bogus"])
+    @pytest.mark.parametrize("spec", ["no-format-here", "x.tsv:bogus", ":plain"])
     def test_bad_lexicon_spec_is_usage_error(self, workdir, capsys, spec):
         # A usage error, found before the missing embedding file is opened.
         with pytest.raises(SystemExit) as excinfo:
@@ -864,12 +886,14 @@ class TestRobustness:
 
 
 class TestOutputBytes:
-    @pytest.mark.parametrize("output", ["tsv", "json"])
-    def test_stdout_matches_output_file_under_any_io_encoding(self, workdir, output):
+    @pytest.mark.parametrize(
+        "flags", [[], ["--json"], ["--json", "--contributors"]], ids=["tsv", "json", "contributors"]
+    )
+    def test_stdout_matches_output_file_under_any_io_encoding(self, workdir, flags):
         lexicon = workdir / "wide.tsv"
         lexicon.write_text("good\tposémo\nbad\t日\n", encoding="utf-8")
         argv = [sys.executable, "-m", "lex2vec.cli", "label", "-e", str(workdir / "emb.txt"),
-                "-l", f"{lexicon}:plain", *(["--json"] if output == "json" else [])]
+                "-l", f"{lexicon}:plain", *flags]
         src = str(Path(lex2vec.__file__).parents[1])
         env = {**os.environ, "PYTHONIOENCODING": "latin-1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -922,3 +946,22 @@ class TestMemory:
         assert code == 0
         assert out.read_text(encoding="utf-8").count("\tall:") == 100
         assert peak < 1.5 * 20_000 * 100 * 8  # the float64 matrix's bytes
+
+    def test_contributor_run_never_holds_its_document(self, embedding_file, tmp_path):
+        """A contributor document twice the matrix's size is written a dimension at a
+        time, within the parse bound."""
+        lexicon = tmp_path / "two.dic"
+        lexicon.write_text("%\n1\tall\n2\tboth\n%\nw*\t1\t2\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = ["label", "--json", "--contributors", "--theta", "0.7",
+                "-e", str(embedding_file), "-l", f"{lexicon}:liwc", "-o", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = 20_000 * 100 * 8  # the float64 matrix's bytes
+        assert code == 0
+        assert out.stat().st_size > 2 * matrix
+        assert peak < 1.5 * matrix

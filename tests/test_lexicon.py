@@ -212,6 +212,12 @@ class TestLoadPlain:
         with pytest.raises(MalformedLexiconLineError):
             load_plain(io.StringIO("good posemo\n"))
 
+    @pytest.mark.parametrize("line", ["good\t ", "\tjoy", " \tjoy"])
+    def test_empty_word_or_label(self, line):
+        with pytest.raises(MalformedLexiconLineError) as excinfo:
+            load_plain(io.StringIO(f"bad\tnegemo\n{line}\n"))
+        assert excinfo.value.line_number == 2
+
     def test_mixed_case_duplicates_merge_into_one_entry(self):
         lex = load_plain(io.StringIO("Good\tJoy\ngood\tjoy\nGOOD\tTrust\n"))
         assert lex.exact_entries == {"good": frozenset({"joy", "trust"})}
