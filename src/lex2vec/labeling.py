@@ -15,7 +15,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Literal, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -100,32 +100,47 @@ class _Contributors(Sequence):
     def __len__(self) -> int:
         return len(self.hits)
 
-    def _kept(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dimension ``index``'s records as arrays of pair indices and high-band bits."""
-        offsets, ids = self.pairs.offsets, self.pairs.ids
-        codes = self.hits[index]
-        entries = codes >> 1
-        starts = offsets[entries]
-        sizes = offsets[entries + 1] - starts
-        # Each hit expands to its entry's run of pairs.
-        pairs = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        keep = np.isin(self.pairs.label_ids[pairs], [ids[label] for label in self.counts[index]])
-        return pairs[keep], np.repeat(codes & 1, sizes)[keep]
+    def _records(
+        self, make: Callable[[str, str, Band], object], indices: Iterable[int]
+    ) -> Iterator[list]:
+        """Each listed dimension's records as ``make(word, label, band)``, in record order.
+
+        A hit expands to its word's run of pairs, kept where ``counts`` holds the pair's
+        label.  Each (pair, band) is made once, when a dimension first keeps it.
+        """
+        words, offsets, label_ids, ids = self.pairs
+        names = tuple(ids)
+        made: dict[int, object] = {}  # by code 2 * pair + is_high
+        done = np.zeros(2 * len(label_ids), dtype=bool)
+        for index in indices:
+            hits = self.hits[index]
+            starts = offsets[hits >> 1]
+            sizes = offsets[(hits >> 1) + 1] - starts
+            pairs = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+            codes = 2 * pairs + np.repeat(hits & 1, sizes)
+            codes = codes[np.isin(label_ids[pairs], [ids[label] for label in self.counts[index]])]
+            new = codes[~done[codes]]  # a dimension's codes are distinct
+            done[new] = True
+            entries = np.searchsorted(offsets, new >> 1, side="right") - 1
+            fresh = list(map(
+                make,
+                map(words.__getitem__, entries.tolist()),
+                map(names.__getitem__, label_ids[new >> 1].tolist()),
+                map(_BANDS.__getitem__, (new & 1).tolist()),
+            ))
+            made.update(zip(new.tolist(), fresh))
+            # new keeps the codes' order, so when every code is new, fresh is the answer
+            yield fresh if len(new) == len(codes) else list(map(made.__getitem__, codes.tolist()))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(tuple, self._records(Contribution, range(len(self))))
 
     def __getitem__(self, index: int | slice) -> tuple:
         index = range(len(self))[index]
         if isinstance(index, range):  # a slice: one record tuple per dimension
-            return tuple(map(self.__getitem__, index))
-        words, offsets, label_ids, ids = self.pairs
-        names = tuple(ids)
-        pairs, is_high = self._kept(index)
-        entries = np.searchsorted(offsets, pairs, side="right") - 1
-        return tuple(
-            Contribution(words[entry], names[label], _BANDS[high])
-            for entry, label, high in zip(
-                entries.tolist(), label_ids[pairs].tolist(), is_high.tolist()
-            )
-        )
+            return tuple(map(tuple, self._records(Contribution, index)))
+        (records,) = self._records(Contribution, (index,))
+        return tuple(records)
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and tuple(self) == tuple(map(tuple, other))

@@ -102,7 +102,7 @@ def _labeling_json_parts(labeling: DimensionLabeling) -> Iterator[str]:
     )
     contributors = labeling.contributors
     if contributors is not None:
-        fragments = _record_fragments(contributors, labeling.per_dimension)
+        records = contributors._records(_record_text, range(labeling.dim_count))
     for index, counts in enumerate(labeling.per_dimension):
         ranked = ordered_labels(counts)
         labels = ",".join(
@@ -115,30 +115,17 @@ def _labeling_json_parts(labeling: DimensionLabeling) -> Iterator[str]:
             f'\n      "name": {quote(_name(ranked))},\n      "labels": {_array(labels)}'
         )
         if contributors is not None:
-            pairs, is_high = contributors._kept(index)
-            records = ",".join(map(fragments.__getitem__, (2 * pairs + is_high).tolist()))
-            entry += f',\n      "contributors": {_array(records)}'
+            entry += f',\n      "contributors": {_array(",".join(next(records)))}'
         yield entry + "\n    }"
     yield "\n  ]\n}\n"
 
 
-def _record_fragments(contributors, per_dimension) -> list[str | None]:
-    """Each contributor record's text at ``2 * pair + is_high``, built only for the
-    pairs whose label some dimension counts; ``None`` for the other pairs."""
-    words, offsets, label_ids, ids = contributors.pairs
-    counted = set().union(*per_dimension)
-    labels = [encode_basestring(label) if label in counted else None for label in ids]
-    pair_labels, bounds = label_ids.tolist(), offsets.tolist()
-    fragments: list[str | None] = [None] * (2 * len(pair_labels))
-    for entry, word in enumerate(words):
-        word = encode_basestring(word)
-        for pair in range(bounds[entry], bounds[entry + 1]):
-            label = labels[pair_labels[pair]]
-            if label is not None:
-                head = f'\n        {{\n          "word": {word},\n          "label": {label},'
-                fragments[2 * pair] = f'{head}\n          "band": "low"\n        }}'
-                fragments[2 * pair + 1] = f'{head}\n          "band": "high"\n        }}'
-    return fragments
+def _record_text(word: str, label: str, band: str) -> str:
+    quote = encode_basestring
+    return (
+        f'\n        {{\n          "word": {quote(word)},\n          "label": {quote(label)},'
+        f'\n          "band": {quote(band)}\n        }}'
+    )
 
 
 def labeling_to_document(labeling: DimensionLabeling) -> dict[str, Any]:

@@ -1,9 +1,7 @@
 """Mutation gate: swap one comparison or boolean operator at a time in ``src/``
 and run the tier-1 tests against each mutant.
 
-    python tools/mutants.py                   # every site; exit 1 on a survivor not allowed
-    python tools/mutants.py --list            # the sites in their fixed order, nothing run
-    python tools/mutants.py --module labeling # the sites of one module (a local check)
+    python tools/mutants.py    # every site; exit 1 on a survivor not allowed
 
 Each mutant swaps one operator of ``src/lex2vec``: ``<``/``<=``, ``>``/``>=``,
 ``==``/``!=``, ``in``/``not in``, ``is``/``is not`` or ``and``/``or``.  Sites come
@@ -21,7 +19,6 @@ not hold a line number, so it survives edits elsewhere in the file.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import os
@@ -179,16 +176,8 @@ def _imports_from(copy: Path) -> bool:
     return Path(found.strip()).resolve().is_relative_to(copy.resolve())
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the mutant ids and stop")
-    parser.add_argument("--module", help="only the sites of src/lex2vec/MODULE.py")
-    args = parser.parse_args(argv)
-
-    todo = [m for m in mutants() if args.module in (None, m.path.stem)]
-    if args.list:
-        print(*(m.id for m in todo), sep="\n")
-        return 0
+def main() -> int:
+    todo = mutants()
     allowed = read_allowed()
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch)
@@ -224,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     ran = {m.id for m in todo}
     unexpected = [ident for ident in survivors if ident not in allowed]
     stale = [ident for ident in allowed if ident in ran and ident not in survivors]
-    unknown = [ident for ident in allowed if args.module is None and ident not in ran]
+    unknown = [ident for ident in allowed if ident not in ran]
     print(f"{len(todo)} mutants, {len(survivors)} survived, {len(survivors) - len(unexpected)} "
           "of them allowed as equivalent")
     for title, idents in (("survived, not allowed", unexpected),
