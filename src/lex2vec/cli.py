@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .embeddings import (
     _SCOPE_AXES,
@@ -120,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--output", "-o", default=None, metavar="PATH",
-        help="write here instead of stdout",
+        help="write here instead of stdout ('-' writes stdout)",
     )
     common.add_argument(
         "--json", action="store_true", dest="json_output",
@@ -211,13 +212,6 @@ def _render(args: argparse.Namespace, result: DimensionLabeling | SweepReport) -
     return (render_sweep_tsv(result, avg_mode=args.avg_mode),)
 
 
-def _write(parts: Iterable[str], stream: BinaryIO) -> None:
-    # UTF-8 whatever the locale, so stdout and -o carry the same bytes; a part at a
-    # time, so the whole text is never held twice.
-    for part in parts:
-        stream.write(part.encode("utf-8"))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: parse, lexicon, label and write, naming the stage that fails."""
     args = build_parser().parse_args(argv)
@@ -232,13 +226,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         del table, lexicons
         parts = _render(args, result)
         stage = "write"
-        if args.output is None or args.output == "-":
-            sys.stdout.flush()
-            _write(parts, sys.stdout.buffer)
-            sys.stdout.buffer.flush()
-        else:
-            with open(args.output, "wb") as stream:
-                _write(parts, stream)
+        sys.stdout.flush()
+        std = args.output in (None, "-")  # nullcontext leaves stdout open
+        with contextlib.nullcontext(sys.stdout.buffer) if std else open(args.output, "wb") as out:
+            # UTF-8 whatever the locale, a part at a time: the text is never held whole.
+            for part in parts:
+                out.write(part.encode("utf-8"))
+            out.flush()
     except (Lex2vecError, OSError, ValueError) as exc:
         print(f"lex2vec: {stage} error: {exc}", file=sys.stderr)
         return 1

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class Contribution(NamedTuple):
 
 
 _BANDS = ("low", "high")
+_FIELDS = operator.itemgetter("word", "label", "band")  # of a labeling document's record
 _BAND_BLOCK = 1024  # labeled rows band-tested at a time
 
 
@@ -150,8 +151,8 @@ def _given_records(contributors, counts) -> _Contributors:
     """Hits for records passed in from outside, one single-label entry each.
 
     Each dimension's label tally must equal its counts, which also rejects a
-    label it does not count; each word must be a ``str``, each band ``high`` or ``low``.
-    A fault names its dimension.
+    label it does not count; each record is a (word, label, band) sequence or mapping, each
+    word a ``str``, each band ``high`` or ``low``.  A fault names its dimension.
     """
     given = tuple(contributors)
     if len(given) != len(counts):
@@ -163,7 +164,15 @@ def _given_records(contributors, counts) -> _Contributors:
     for index, (records, dim_counts) in enumerate(zip(given, counts)):
         tally: dict[str, int] = {}
         codes = []
-        for word, label, band in records:
+        for record in records:
+            try:  # a triple, or a document's mapping (dict tested first, as the faster test)
+                fields = _FIELDS(record) if isinstance(record, (dict, Mapping)) else record
+                word, label, band = fields
+            except (KeyError, TypeError, ValueError) as exc:
+                raise (TypeError if isinstance(exc, TypeError) else ValueError)(
+                    f"dimension {index}: contributor record {record!r} is not a"
+                    " (word, label, band) sequence or mapping"
+                ) from None
             if band not in _BANDS:
                 raise ValueError(
                     f"dimension {index}: contributor band must be 'high' or 'low', not {band!r}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import operator
 from json.encoder import encode_basestring
 from typing import Any, Iterator, Mapping
 
@@ -19,8 +18,6 @@ from .metrics import SweepReport, SweepRow, _check_avg_mode, coverage
 
 UNNAMED_MARKER = "UNNAMED"
 SWEEP_TSV_HEADER = "theta\tresource\tpct_unnamed\tavg_labels_dim"
-# A contributor record of a labeling document as the (word, label, band) a labeling reads.
-_RECORD = operator.itemgetter("word", "label", "band")
 
 
 def _name(ranked: list[tuple[str, int]]) -> str:
@@ -157,7 +154,7 @@ def labeling_from_document(document: Mapping[str, Any]) -> DimensionLabeling:
                 raise ValueError(f"dimension {index} lists label {label!r} twice")
             counts[label] = item["count"]
         per_dim.append(counts)
-        records.append(map(_RECORD, entry.get("contributors", ())))
+        records.append(entry.get("contributors", ()))
         given = given or "contributors" in entry
     if not _restates(document.get("dim_count", len(per_dim)), len(per_dim)):
         raise ValueError(

@@ -887,21 +887,27 @@ class TestRobustness:
 
 class TestOutputBytes:
     @pytest.mark.parametrize(
-        "flags", [[], ["--json"], ["--json", "--contributors"]], ids=["tsv", "json", "contributors"]
+        "command",
+        [["label"], ["label", "--json"], ["label", "--json", "--contributors"], ["sweep"],
+         ["metrics", "--json"]],
+        ids=["tsv", "json", "contributors", "sweep", "metrics-json"],
     )
-    def test_stdout_matches_output_file_under_any_io_encoding(self, workdir, flags):
+    def test_stdout_matches_output_file_under_any_io_encoding(self, workdir, command):
         lexicon = workdir / "wide.tsv"
         lexicon.write_text("good\tposémo\nbad\t日\n", encoding="utf-8")
-        argv = [sys.executable, "-m", "lex2vec.cli", "label", "-e", str(workdir / "emb.txt"),
-                "-l", f"{lexicon}:plain", *flags]
+        argv = [sys.executable, "-m", "lex2vec.cli", *command, "-e", str(workdir / "emb.txt"),
+                "-l", f"{lexicon}:plain"]
         src = str(Path(lex2vec.__file__).parents[1])
         env = {**os.environ, "PYTHONIOENCODING": "latin-1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         stdout = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        dash = subprocess.run([*argv, "-o", "-"], env=env, capture_output=True, check=True)
+        assert dash.stdout == stdout  # "-o -" is standard output
         out_path = workdir / "result.out"
         subprocess.run([*argv, "-o", str(out_path)], env=env, capture_output=True, check=True)
         assert stdout == out_path.read_bytes()
-        assert "posémo".encode() in stdout and "日".encode() in stdout
+        if command[0] == "label":  # only a labeling's text carries the lexicon's labels
+            assert "posémo".encode() in stdout and "日".encode() in stdout
 
 
 class TestMemory:

@@ -306,6 +306,26 @@ class TestLabelingValidation:
             labeling_from_document(document)
 
     @pytest.mark.parametrize(
+        "record, error",
+        [
+            (("w", "a", "high", "x"), ValueError),
+            (("w", "a"), ValueError),
+            (None, TypeError),
+            (7, TypeError),
+            ({"word": "w", "label": "a"}, ValueError),
+        ],
+        ids=["four-fields", "two-fields", "none", "int", "document-without-band"],
+    )
+    def test_a_record_that_is_no_triple_names_its_dimension(self, record, error):
+        message = f"^dimension 1: contributor record {re.escape(repr(record))} is not a "
+        with pytest.raises(error, match=message):
+            DimensionLabeling(({"a": 1}, {"a": 1}), 0.75, "x", [[("v", "a", "low")], [record]])
+        entries = [{"labels": [{"label": "a", "count": 1}], "contributors": [given]}
+                   for given in ({"word": "v", "label": "a", "band": "low"}, record)]
+        with pytest.raises(error, match=message):
+            labeling_from_document({"theta": 0.75, "resource": "x", "dimensions": entries})
+
+    @pytest.mark.parametrize(
         "resource, error, message",
         [
             (5, TypeError, "resource name 5 of a labeling must be a str, not int"),

@@ -219,22 +219,23 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(toy_table, [toy_lexicon], [])
 
-    def test_trend_violation_raises_under_optimize(self):
-        # The trend check must survive ``python -O``, which strips asserts.
+    @staticmethod
+    def _sweep_under_optimize(counts: str) -> subprocess.CompletedProcess:
+        """Sweep thetas 0.8 and 0.6 under ``python -O``, which strips asserts, with
+        every cell labeled ``counts``, an expression of ``theta``; a trend error exits 3."""
         script = textwrap.dedent(
-            """
+            f"""
             import sys
             from lex2vec import DimensionLabeling, Lex2vecError, Lexicon
             from lex2vec import NormalizedEmbeddingTable, metrics
 
-            def more_labels_at_higher_theta(table, lexicon, theta, keep_contributors=False):
-                counts = {"a": 1} if theta.value > 0.7 else {}
-                return DimensionLabeling((counts,), theta, lexicon.resource_name)
+            def stub(table, lexicon, theta, keep_contributors=False):
+                return DimensionLabeling(({counts},), theta, lexicon.resource_name)
 
-            metrics.label_dimensions = more_labels_at_higher_theta
+            metrics.label_dimensions = stub
             table = NormalizedEmbeddingTable(("w",), [[1.0]])
             try:
-                metrics.sweep(table, [Lexicon("demo", {"w": {"a"}})], [0.8, 0.6])
+                metrics.sweep(table, [Lexicon("demo", {{"w": {{"a"}}}})], [0.8, 0.6])
             except Lex2vecError as exc:
                 print(exc)
                 sys.exit(3)
@@ -243,12 +244,22 @@ class TestSweep:
         src = str(Path(lex2vec.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-O", "-c", script],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def test_trend_violation_raises_under_optimize(self):
+        # More labels at the higher theta: a dimension named at 0.8 is unnamed at 0.6.
+        result = self._sweep_under_optimize('{"a": 1} if theta.value > 0.7 else {}')
         assert result.returncode == 3, result.stderr
         assert "unnamed ratio rose" in result.stdout
+
+    def test_falling_label_mass_raises_under_optimize(self):
+        # Every dimension stays named, so only the second check can see the fall.
+        result = self._sweep_under_optimize('{"a": 2} if theta.value > 0.7 else {"a": 1}')
+        assert result.returncode == 3, result.stderr
+        assert "average labels fell" in result.stdout
 
     def test_table_must_be_normalized_before_any_cell(self, monkeypatch):
         def cell(*args, **kwargs):

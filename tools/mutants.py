@@ -1,10 +1,11 @@
-"""Mutation gate: swap one comparison or boolean operator at a time in ``src/``
-and run the tier-1 tests against each mutant.
+"""Mutation gate: swap one comparison or boolean operator, or drop one ``not``, at a
+time in ``src/`` and run the tier-1 tests against each mutant.
 
     python tools/mutants.py    # every site; exit 1 on a survivor not allowed
 
 Each mutant swaps one operator of ``src/lex2vec``: ``<``/``<=``, ``>``/``>=``,
-``==``/``!=``, ``in``/``not in``, ``is``/``is not`` or ``and``/``or``.  Sites come
+``==``/``!=``, ``in``/``not in``, ``is``/``is not`` or ``and``/``or``; or it
+removes one unary ``not``, which its id shows as ``not -> (dropped)``.  Sites come
 in a fixed order: by module path, then by position in the file.  Mutants are
 written into a temporary copy of ``src/`` and ``tests/``, never into the source
 tree.  A mutant is killed when the tests fail, error, or run past the timeout;
@@ -49,6 +50,7 @@ TEXT = {
     ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
     ast.And: "and", ast.Or: "or",
 }
+DROPPED = "(dropped)"  # the new text of a removed ``not``, as an id shows it
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class _Sites(ast.NodeVisitor):
         self.lines = source.splitlines(keepends=True)
         self.tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         self.scope: list[str] = []
-        self.found: list[tuple] = []  # (start, end, operator, node, scope) per site
+        self.found: list[tuple] = []  # (start, end, old, new, node, scope) per site
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -100,7 +102,10 @@ class _Sites(ast.NodeVisitor):
         after = _char_pos(self.lines, left.end_lineno, left.end_col_offset)
         before = _char_pos(self.lines, right.lineno, right.col_offset)
         start, end = _operator_tokens(self.tokens, after, before, TEXT[op].split())
-        self.found.append((start, end, op, node, ".".join(self.scope) or "<module>"))
+        self._add(start, end, TEXT[op], TEXT[SWAPS[op]], node)
+
+    def _add(self, start, end, old: str, new: str, node) -> None:
+        self.found.append((start, end, old, new, node, ".".join(self.scope) or "<module>"))
 
     def visit_Compare(self, node):
         operands = [node.left, *node.comparators]
@@ -114,6 +119,16 @@ class _Sites(ast.NodeVisitor):
             self._site(node, left, right, type(node.op))
         self.generic_visit(node)
 
+    def visit_UnaryOp(self, node):
+        if isinstance(node.op, ast.Not):
+            after = _char_pos(self.lines, node.lineno, node.col_offset)
+            before = _char_pos(self.lines, node.operand.lineno, node.operand.col_offset)
+            start, end = _operator_tokens(self.tokens, after, before, ["not"])
+            # Up to the next token, so the operand keeps its place on the line.
+            following = next(t for t in self.tokens if t.start >= end)
+            self._add(start, following.start, "not", "", node)
+        self.generic_visit(node)
+
 
 def mutants(root: Path = ROOT) -> list[Mutant]:
     """Every mutant of the package, in the fixed site order."""
@@ -123,12 +138,12 @@ def mutants(root: Path = ROOT) -> list[Mutant]:
         sites = _Sites(source)
         sites.visit(ast.parse(source, str(path)))
         seen: dict[str, int] = {}
-        for start, end, op, node, scope in sorted(sites.found, key=lambda site: site[:2]):
+        for start, end, old, new, node, scope in sorted(sites.found, key=lambda site: site[:2]):
             text = " ".join(ast.get_source_segment(source, node).split())
-            key = f"{path.stem}:{scope}: {text}: {TEXT[op]} -> {TEXT[SWAPS[op]]}"
+            key = f"{path.stem}:{scope}: {text}: {old} -> {new or DROPPED}"
             seen[key] = seen.get(key, 0) + 1
             ident = key if seen[key] == 1 else f"{key} #{seen[key]}"
-            found.append(Mutant(path.relative_to(root), start, end, TEXT[SWAPS[op]], ident))
+            found.append(Mutant(path.relative_to(root), start, end, new, ident))
     return found
 
 
